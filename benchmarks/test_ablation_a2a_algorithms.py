@@ -6,7 +6,7 @@ hierarchical variants aggregate the node's traffic into fewer, larger
 messages (winning the per-peer latency game at small sizes) but pay an
 intra-node staging phase (losing at large sizes).  This benchmark sweeps
 message sizes on both testbeds, locates the crossover, and shows the
-per-layer choice the scheduler facade makes.
+per-layer choice the plan compiler makes.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from repro import MoELayerSpec
 from repro.api.registry import get_cluster
 from repro.bench.reporting import format_table
-from repro.core.scheduler import GenericScheduler
 from repro.parallel.collectives import A2AAlgorithm, CollectiveCostModel
+from repro.planner import PlanCompiler
 from repro.report import ArtifactResult, ReportConfig
 
 SIZES = tuple(int(4 ** i * 1e3) for i in range(1, 9))  # 4 KB .. 65 MB
@@ -87,8 +87,8 @@ def test_a2a_algorithm_crossover(workspace, report_config, emit_result,
         assert ends["large_nccl"] < ends["large_hier"], testbed
 
 
-def test_scheduler_facade_picks_per_layer(cluster_b):
-    scheduler = GenericScheduler(cluster_b)
+def test_compiler_picks_per_layer(cluster_b):
+    compiler = PlanCompiler(cluster_b)
     tiny = MoELayerSpec(
         batch_size=1, seq_len=32, embed_dim=256, num_experts=8,
         top_k=1, capacity_factor=1.0, num_heads=4,
@@ -97,7 +97,7 @@ def test_scheduler_facade_picks_per_layer(cluster_b):
         batch_size=4, seq_len=1024, embed_dim=4096, num_experts=8,
         top_k=2, capacity_factor=2.4, num_heads=32,
     )
-    best_tiny, _ = scheduler.best_a2a_algorithm(tiny)
-    best_huge, _ = scheduler.best_a2a_algorithm(huge)
+    best_tiny, _ = compiler.best_a2a_algorithm(tiny)
+    best_huge, _ = compiler.best_a2a_algorithm(huge)
     assert best_tiny is A2AAlgorithm.HIER_1D
     assert best_huge is A2AAlgorithm.NCCL

@@ -27,8 +27,13 @@ def count_differing(cluster, store, stride):
     differing = 0
     for spec in specs:
         profile = store.layer_profile(spec, parallel, models)
-        fw = find_optimal_pipeline_degree(profile.ctx_fw).degree
-        bw = find_optimal_pipeline_degree(profile.ctx_bw).degree
+        context = store.solver_context
+        fw = find_optimal_pipeline_degree(
+            profile.ctx_fw, solver_context=context
+        ).degree
+        bw = find_optimal_pipeline_degree(
+            profile.ctx_bw, solver_context=context
+        ).degree
         if fw != bw:
             differing += 1
     return differing, len(specs)

@@ -35,15 +35,17 @@ from repro.report import ArtifactResult, ReportConfig
 from repro.sim import simulate
 
 
-def _forward_degree(profile, r_max):
-    return find_optimal_pipeline_degree(profile.ctx_fw, r_max=r_max).degree
-
-
-def build_variant(profiles, models, gar_mode, plan, r_max=16):
+def build_variant(profiles, models, gar_mode, plan, context, r_max=16):
     """One IterationSpec for a (gar_mode, partition-plan) combination."""
+
+    def forward_degree(profile):
+        return find_optimal_pipeline_degree(
+            profile.ctx_fw, r_max=r_max, solver_context=context
+        ).degree
+
     forward = tuple(
         LayerPhaseSchedule(
-            ctx=p.ctx_fw, degree=_forward_degree(p, r_max),
+            ctx=p.ctx_fw, degree=forward_degree(p),
             dense_ms=p.dense_fw_ms,
         )
         for p in profiles
@@ -60,7 +62,7 @@ def build_variant(profiles, models, gar_mode, plan, r_max=16):
     else:
         backward = tuple(
             LayerPhaseSchedule(
-                ctx=p.ctx_bw, degree=_forward_degree(p, r_max),
+                ctx=p.ctx_bw, degree=forward_degree(p),
                 dense_ms=p.dense_bw_ms,
             )
             for p in profiles
@@ -93,23 +95,27 @@ def run_ablation(cluster, num_layers, store):
         )
         for p in profiles
     ]
+    context = store.solver_context
     plan_step1 = plan_gradient_partition(
-        layers, models.allreduce, use_differential_evolution=False
+        layers, models.allreduce, use_differential_evolution=False,
+        solver_context=context,
     )
-    plan_full = plan_gradient_partition(layers, models.allreduce, seed=0)
+    plan_full = plan_gradient_partition(
+        layers, models.allreduce, seed=0, solver_context=context
+    )
 
     variants = {
         "exposed (no §5)": build_variant(
-            profiles, models, GarMode.END, None
+            profiles, models, GarMode.END, None, context
         ),
         "step1 only": build_variant(
-            profiles, models, GarMode.ADAPTIVE, plan_step1
+            profiles, models, GarMode.ADAPTIVE, plan_step1, context
         ),
         "full plan (FSMoE)": build_variant(
-            profiles, models, GarMode.ADAPTIVE, plan_full
+            profiles, models, GarMode.ADAPTIVE, plan_full, context
         ),
         "lina-30MB": build_variant(
-            profiles, models, GarMode.FIXED_CHUNKS, None
+            profiles, models, GarMode.FIXED_CHUNKS, None, context
         ),
     }
     return {

@@ -15,8 +15,8 @@ import time
 from repro import standard_layout
 from repro.api.registry import get_cluster
 from repro.bench import configured_layer_grid, format_table
+from repro.core.context import SolverContext
 from repro.core.pipeline_degree import (
-    _find_optimal_cached,
     find_optimal_pipeline_degree,
     oracle_integer_degree,
 )
@@ -35,11 +35,12 @@ def compare(cluster, store, stride):
     matches = 0
     for spec in specs:
         profile = store.layer_profile(spec, parallel, models)
-        _find_optimal_cached.cache_clear()
         start = time.perf_counter()
-        # Explicitly pin the SLSQP path: the process default is the
-        # batched exact sweep, which IS the oracle.
-        slsqp = find_optimal_pipeline_degree(profile.ctx_bw, solver="slsqp")
+        # Explicitly pin the SLSQP path (the default is the batched exact
+        # sweep, which IS the oracle), cold: a new context per solve.
+        slsqp = find_optimal_pipeline_degree(
+            profile.ctx_bw, solver_context=SolverContext("slsqp")
+        )
         elapsed.append((time.perf_counter() - start) * 1000.0)
         oracle = oracle_integer_degree(profile.ctx_bw)
         gaps.append(slsqp.time_ms / oracle.time_ms)

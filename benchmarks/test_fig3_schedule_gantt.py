@@ -18,7 +18,7 @@ from repro.systems import DeepSpeedMoE, FSMoE, Tutel, TutelImproved
 SYSTEMS = (DeepSpeedMoE(), Tutel(), TutelImproved(), FSMoE())
 
 
-def render_all(cluster, models):
+def render_all(cluster, models, solver_context=None):
     """ASCII Gantt text plus per-system makespans on one layer pair."""
     parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
     spec = MoELayerSpec(
@@ -36,7 +36,10 @@ def render_all(cluster, models):
     blocks = []
     makespans = {}
     for system in SYSTEMS:
-        timeline = system.timeline(profiles, models, phase="backward")
+        timeline = system.timeline(
+            profiles, models, phase="backward",
+            solver_context=solver_context,
+        )
         makespans[system.name] = timeline.makespan_ms
         blocks.append(
             f"--- {system.name} (backward, {timeline.makespan_ms:.2f} ms) ---\n"
@@ -50,7 +53,9 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
     cluster = get_cluster("B")
     parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
     models = workspace.store.models(cluster, parallel)
-    text, makespans = render_all(cluster, models)
+    text, makespans = render_all(
+        cluster, models, workspace.store.solver_context
+    )
     body = (
         "Fig. 3 -- backward-pass schedules (glyphs: D dispatch, C combine, "
         "G allgather, S reducescatter, E experts, R grad-allreduce, "

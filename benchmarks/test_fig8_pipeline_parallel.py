@@ -51,7 +51,7 @@ def pp_iteration_ms(system, preset, cluster, num_layers, store):
     for stage_layers in split_stages(num_layers, N_PP):
         profiles = [profile] * stage_layers
         stage_fw, stage_bw, stage_bw_gar = system.phase_times_ms(
-            profiles, models
+            profiles, models, solver_context=store.solver_context
         )
         fw.append(stage_fw)
         bw_no_gar.append(stage_bw)

@@ -1,10 +1,10 @@
 """Cold-planning performance: the batched Algorithm-1 solver vs SLSQP.
 
 Plans the Fig. 7-shaped grid (varied sequence length L x varied world
-size P) twice from a fully cold state -- once with the default batched
-exact solver, once with the paper's SLSQP path pinned via
-:func:`~repro.core.pipeline_degree.set_default_degree_solver` -- plus a
-warm re-run against the populated caches, and records all three
+size P) twice from a fully cold state -- each on a new profile store,
+whose solver context starts empty: once with the default batched exact
+solver, once with the paper's SLSQP path (``degree_solver="slsqp"``) --
+plus a warm re-run against the populated store, and records all three
 wall-times in ``benchmarks/results/BENCH_planner.json``, alongside a
 ``step2`` series (batched vs scalar partition objective, measured by
 :func:`benchmarks.test_perf_step2.measure_step2`).
@@ -27,14 +27,11 @@ import json
 import platform
 import time
 
-from repro import FSMoE, solver_stats
+from repro import FSMoE, ProfileStore
 from repro.api.registry import get_cluster
-from repro.core import clear_solver_cache, set_default_degree_solver
-from repro.core.pipeline_degree import _find_optimal_cached
 from repro.models import get_model_preset, layer_spec_for
 from repro.planner.batch import plan_many
 from repro.report import ArtifactResult, ReportConfig
-from repro.systems import fsmoe as fsmoe_module
 
 from .conftest import RESULTS_DIR
 from .test_perf_step2 import measure_step2
@@ -63,35 +60,23 @@ def _fig7_grid(full: bool):
     return specs, clusters
 
 
-def _reset_solver_state() -> None:
-    """Drop every per-process Algorithm-1 memo so the next run is cold.
-
-    Stats are zeroed too, so the counters read after a cold run describe
-    exactly that run (including the true largest batch).
-    """
-    clear_solver_cache(reset_stats=True)
-    _find_optimal_cached.cache_clear()
-    fsmoe_module._partition_plan.cache_clear()
-    fsmoe_module._merged_phase_degree.cache_clear()
-
-
 def _cold_plan(specs, clusters, solver: str):
-    """One fully cold ``plan_many`` sweep under the given degree solver."""
-    previous = set_default_degree_solver(solver)
-    _reset_solver_state()
-    try:
-        start = time.perf_counter()
-        result = plan_many(
-            specs,
-            [FSMoE(solver="slsqp")],
-            clusters,
-            num_layers=2,
-            max_workers=1,
-        )
-        elapsed = time.perf_counter() - start
-    finally:
-        set_default_degree_solver(previous)
-    return elapsed, result
+    """One fully cold ``plan_many`` sweep under the given degree solver.
+
+    The sweep runs on a new store, so its solver context starts empty
+    and its counters describe exactly this run (including the true
+    largest batch).
+    """
+    start = time.perf_counter()
+    result = plan_many(
+        specs,
+        [FSMoE(solver="slsqp")],
+        clusters,
+        num_layers=2,
+        store=ProfileStore(degree_solver=solver),
+        max_workers=1,
+    )
+    return time.perf_counter() - start, result
 
 
 def produce(workspace, config: ReportConfig) -> ArtifactResult:
@@ -104,7 +89,7 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
     specs, clusters = _fig7_grid(config.full)
 
     cold_batch_s, batch_result = _cold_plan(specs, clusters, "batch")
-    batch_stats = solver_stats()  # window-exact: _cold_plan zeroed them
+    batch_stats = batch_result.store.solver_context.stats
 
     # Warm re-run against the populated profile store and solver memos.
     start = time.perf_counter()

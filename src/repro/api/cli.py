@@ -61,7 +61,6 @@ from pathlib import Path
 from ..bench.reporting import format_table
 from ..bench.runner import speedups_over
 from ..config import MoELayerSpec, standard_layout
-from ..core.fastsolve import solver_stats
 from ..core.gradient_partition import STEP2_SOLVERS
 from ..errors import ConfigError, ReproError
 from ..models.configs import available_model_presets
@@ -874,7 +873,8 @@ def _cmd_cache(args) -> int:
         return 0
     # info is read-only: a mistyped path must not silently materialize an
     # empty workspace and report it as real
-    info = Workspace(root, remote=args.remote).cache_info()
+    workspace = Workspace(root, remote=args.remote)
+    info = workspace.cache_info()
     for key, value in info.items():
         print(f"{key}: {value}")
     if args.remote:
@@ -889,7 +889,7 @@ def _cmd_cache(args) -> int:
                 f"{stat.get('bytes', 0)} bytes, {stat.get('hits', 0)} "
                 f"hits, {stat.get('misses', 0)} misses"
             )
-    solver = solver_stats()
+    solver = workspace.stats.solver
     print(
         f"degree_solver: {solver.solves} solves, {solver.cache_hits} "
         f"cache hits, {solver.batch_calls} batch calls "
@@ -1087,9 +1087,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         type=int,
         default=1,
-        help="produce parallel-safe artifacts with N concurrent threads "
-             "through the shared workspace (outputs and ordering are "
-             "identical to a serial run); default: 1",
+        help="produce the deterministic artifacts with N concurrent "
+             "threads through the shared workspace, then the measured "
+             "ones serially (outputs and ordering are identical to a "
+             "serial run); default: 1",
     )
     report.add_argument(
         "--trace",

@@ -62,7 +62,7 @@ from ..cache import (
     TierStats,
 )
 from ..config import MoELayerSpec, ParallelSpec, standard_layout
-from ..core.fastsolve import SolverStats, solver_stats
+from ..core.context import SolverStats
 from ..core.pipeline_degree import DEFAULT_MAX_DEGREE
 from ..errors import ConfigError, WorkspaceError
 from ..locking import FileLock
@@ -92,10 +92,9 @@ class WorkspaceStats:
         profiles: the profile store's hit/miss counters.
         plan_hits: plan requests served from cache (disk or session).
         plan_misses: plans actually compiled this session.
-        solver: the batched Algorithm-1 solver's counters (solves,
-            cache hits, batch calls/sizes).  Process-wide, not
-            per-workspace: the degree-solution memo is shared by every
-            session in the process.
+        solver: this session's Algorithm-1 and Step-2 solver counters
+            (solves, cache hits, batch calls/sizes, Step-2 objective
+            passes) -- those of the profile store's solver context.
         service: counters of the :class:`~repro.serve.PlanService`
             bound to this workspace (None when no service is serving
             from it).
@@ -514,7 +513,7 @@ class Workspace:
                 profiles=self.store.stats,
                 plan_hits=self._plan_hits,
                 plan_misses=self._plan_misses,
-                solver=solver_stats(),
+                solver=self.store.solver_context.stats,
                 service=service() if service is not None else None,
                 cache=cache,
             )

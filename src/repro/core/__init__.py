@@ -12,15 +12,17 @@
   (``FindOptimalPipelineDegree``): solver dispatch between the batched
   exact sweep and the paper's SLSQP relaxation;
 * :mod:`~repro.core.fastsolve` -- the vectorized batched Algorithm-1
-  solver (every integer degree of every context in one array pass),
-  with a bounded process-wide memo and exact counters;
+  solver (every integer degree of every context in one array pass);
+* :mod:`~repro.core.context` -- :class:`SolverContext`, one planning
+  session's solver memos, exact counters and Algorithm-1 choice;
 * :mod:`~repro.core.gradient_partition` -- the two-step adaptive gradient
   partitioning of §5 (greedy fill + differential evolution);
 * :mod:`~repro.core.schedules` -- task-graph builders for every schedule in
   Fig. 3 (default/DS-MoE, Tutel/PipeMoE, Tutel-Improved, PipeMoE+Lina,
-  FSMoE-No-IIO, FSMoE);
-* :mod:`~repro.core.scheduler` -- the front-end/back-end generic scheduler
-  tying profiling to schedule construction (§3.2).
+  FSMoE-No-IIO, FSMoE).
+
+The front-end/back-end workflow tying profiling to schedule construction
+(§3.2) is :class:`~repro.planner.compiler.PlanCompiler`.
 """
 
 from .perf_model import LinearPerfModel, PerfModelSet, fit_linear_model
@@ -34,25 +36,20 @@ from .cases import (
     classify_batch,
     overlappable_time,
 )
+from .context import DEGREE_SOLVERS, SolverContext, SolverStats
 from .pipeline_degree import (
-    DEGREE_SOLVERS,
     DegreeSolution,
     find_optimal_pipeline_degree,
-    get_default_degree_solver,
     oracle_integer_degree,
-    set_default_degree_solver,
     solve_degrees,
 )
 from .fastsolve import (
-    SolverStats,
     best_swept_degree,
-    clear_solver_cache,
     merged_iteration_times,
     merged_phase_times,
     solve_degree,
     solve_degrees_batch,
     solve_merged_phase_degree,
-    solver_stats,
 )
 from .gradient_partition import (
     STEP2_IMPLS,
@@ -61,9 +58,7 @@ from .gradient_partition import (
     GeneralizedLayer,
     GradientPartitionPlan,
     plan_gradient_partition,
-    resolve_step2_impl,
 )
-from .scheduler import GenericScheduler, LayerScheduleReport
 
 __all__ = [
     "LinearPerfModel",
@@ -82,8 +77,6 @@ __all__ = [
     "DegreeSolution",
     "DEGREE_SOLVERS",
     "find_optimal_pipeline_degree",
-    "get_default_degree_solver",
-    "set_default_degree_solver",
     "solve_degrees",
     "solve_degree",
     "solve_degrees_batch",
@@ -91,17 +84,13 @@ __all__ = [
     "merged_iteration_times",
     "solve_merged_phase_degree",
     "best_swept_degree",
+    "SolverContext",
     "SolverStats",
-    "solver_stats",
-    "clear_solver_cache",
     "oracle_integer_degree",
     "GarPlacement",
     "GeneralizedLayer",
     "GradientPartitionPlan",
     "plan_gradient_partition",
-    "resolve_step2_impl",
     "STEP2_SOLVERS",
     "STEP2_IMPLS",
-    "GenericScheduler",
-    "LayerScheduleReport",
 ]

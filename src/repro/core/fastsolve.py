@@ -15,18 +15,15 @@ own tie-breaking.  The result per context is identical to
 bit-identical ``time_ms`` -- at roughly four orders of magnitude less
 cost per context.
 
-Solutions are memoized process-wide in a bounded LRU keyed on
-``(context, r_max)``; :func:`solver_stats` exposes exact counters
-(contexts solved, cache hits, batch calls and sizes) so sessions can
-assert "this sweep solved N contexts in one batch" the same way the
-planner's profile caches do.
+Solutions are memoized per session in the bounded LRU of a
+:class:`~repro.core.context.SolverContext` keyed on ``(context,
+r_max)``; its exact counters (contexts solved, cache hits, batch calls
+and sizes) let sessions assert "this sweep solved N contexts in one
+batch" the same way the planner's profile caches do.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +31,7 @@ import numpy as np
 from ..errors import SolverError
 from .cases import Case, analytic_time_batch, classify_batch
 from .constraints import ContextArrays, PipelineContext
+from .context import SolverContext
 # Safe non-lazy import: pipeline_degree only imports this module inside
 # function bodies, so there is no import cycle at module level.
 from .pipeline_degree import DEFAULT_MAX_DEGREE, DegreeSolution
@@ -41,117 +39,6 @@ from .pipeline_degree import DEFAULT_MAX_DEGREE, DegreeSolution
 #: same tie-break tolerance as the scalar oracle: a later degree must
 #: beat the incumbent by more than this to win.
 _TIE_TOL = 1e-12
-
-#: bound on the process-wide memo (matches the seed lru_cache budget).
-CACHE_MAXSIZE = 65536
-
-
-@dataclass(frozen=True)
-class SolverStats:
-    """Exact counters of the batched Algorithm-1 solver (process-wide).
-
-    Attributes:
-        solves: distinct (context, r_max) keys actually evaluated.
-        cache_hits: requests served from the memo instead.
-        batch_calls: :func:`solve_degrees_batch` invocations that did
-            array work (fully-cached calls don't count).
-        max_batch_size: largest number of contexts evaluated in one
-            array pass.
-        evictions: memoized solutions dropped by the LRU bound.
-        step2_objective_calls: Step-2 gradient-partition objective
-            evaluations (one per array pass in the batched
-            implementation, one per candidate in the scalar one).
-        step2_candidates: total Step-2 candidate assignments evaluated
-            across those calls -- ``candidates / calls`` is the mean
-            population batched into one pass.
-    """
-
-    solves: int = 0
-    cache_hits: int = 0
-    batch_calls: int = 0
-    max_batch_size: int = 0
-    evictions: int = 0
-    step2_objective_calls: int = 0
-    step2_candidates: int = 0
-
-    def __sub__(self, other: "SolverStats") -> "SolverStats":
-        """Counter delta between two snapshots (``after - before``).
-
-        ``max_batch_size`` is not a counter and cannot be windowed from
-        two snapshots; the delta carries the later snapshot's value.
-        Use ``clear_solver_cache(reset_stats=True)`` before a measured
-        window when the true per-window maximum matters.
-        """
-        return SolverStats(
-            solves=self.solves - other.solves,
-            cache_hits=self.cache_hits - other.cache_hits,
-            batch_calls=self.batch_calls - other.batch_calls,
-            max_batch_size=self.max_batch_size,
-            evictions=self.evictions - other.evictions,
-            step2_objective_calls=(
-                self.step2_objective_calls - other.step2_objective_calls
-            ),
-            step2_candidates=self.step2_candidates - other.step2_candidates,
-        )
-
-
-_lock = threading.Lock()
-_cache: OrderedDict[tuple[PipelineContext, int], "object"] = OrderedDict()
-_solves = 0
-_cache_hits = 0
-_batch_calls = 0
-_max_batch_size = 0
-_evictions = 0
-_step2_objective_calls = 0
-_step2_candidates = 0
-
-
-def solver_stats() -> SolverStats:
-    """Snapshot of the process-wide solver counters."""
-    with _lock:
-        return SolverStats(
-            solves=_solves,
-            cache_hits=_cache_hits,
-            batch_calls=_batch_calls,
-            max_batch_size=_max_batch_size,
-            evictions=_evictions,
-            step2_objective_calls=_step2_objective_calls,
-            step2_candidates=_step2_candidates,
-        )
-
-
-def clear_solver_cache(*, reset_stats: bool = False) -> None:
-    """Drop every memoized solution (cold-start benchmarks use this).
-
-    Args:
-        reset_stats: also zero the counters.
-    """
-    global _solves, _cache_hits, _batch_calls, _max_batch_size, _evictions
-    global _step2_objective_calls, _step2_candidates
-    with _lock:
-        _cache.clear()
-        if reset_stats:
-            _solves = 0
-            _cache_hits = 0
-            _batch_calls = 0
-            _max_batch_size = 0
-            _evictions = 0
-            _step2_objective_calls = 0
-            _step2_candidates = 0
-
-
-def record_step2_objective(candidates: int) -> None:
-    """Count one Step-2 objective evaluation covering ``candidates`` points.
-
-    The gradient-partition solver calls this once per objective pass: the
-    batched implementation evaluates a whole DE population per pass, the
-    scalar one a single candidate, so ``step2_candidates /
-    step2_objective_calls`` measures the achieved batching.
-    """
-    global _step2_objective_calls, _step2_candidates
-    with _lock:
-        _step2_objective_calls += 1
-        _step2_candidates += candidates
 
 
 def _evaluate_batch(ctxs: Sequence[PipelineContext], r_max: int):
@@ -200,18 +87,22 @@ def _evaluate_batch(ctxs: Sequence[PipelineContext], r_max: int):
 
 
 def solve_degrees_batch(
-    ctxs: Sequence[PipelineContext], r_max: int = DEFAULT_MAX_DEGREE
+    ctxs: Sequence[PipelineContext],
+    r_max: int = DEFAULT_MAX_DEGREE,
+    solver_context: SolverContext | None = None,
 ) -> tuple[DegreeSolution, ...]:
     """Exact Algorithm-1 solutions for a whole batch of contexts.
 
     Duplicated contexts are deduplicated before evaluation and every
-    solution is memoized process-wide, so repeated layers (the common
-    case: every layer of a model shares one context) cost one solve
-    across the entire session.
+    solution is memoized in ``solver_context``, so repeated layers (the
+    common case: every layer of a model shares one context) cost one
+    solve across the entire session.
 
     Args:
         ctxs: pipeline contexts, any length, duplicates welcome.
         r_max: inclusive upper bound on the degree (must be >= 1).
+        solver_context: the session's memo and counters; None uses a
+            fresh one.
 
     Returns:
         One :class:`~repro.core.pipeline_degree.DegreeSolution` per input
@@ -221,52 +112,23 @@ def solve_degrees_batch(
     Raises:
         SolverError: if ``r_max < 1``.
     """
-    global _solves, _cache_hits, _batch_calls, _max_batch_size, _evictions
     if r_max < 1:
         raise SolverError(f"r_max must be >= 1, got {r_max}")
-    ctxs = list(ctxs)
-    if not ctxs:
-        return ()
-
-    resolved: dict[tuple[PipelineContext, int], object] = {}
-    missing: list[PipelineContext] = []
-    with _lock:
-        for ctx in ctxs:
-            key = (ctx, r_max)
-            if key in resolved:
-                continue
-            cached = _cache.get(key)
-            if cached is not None:
-                _cache.move_to_end(key)
-                _cache_hits += 1
-                resolved[key] = cached
-            else:
-                resolved[key] = None  # placeholder: dedupes within the call
-                missing.append(ctx)
-
-    if missing:
-        solutions = _evaluate_batch(missing, r_max)
-        with _lock:
-            _batch_calls += 1
-            _max_batch_size = max(_max_batch_size, len(missing))
-            for ctx, solution in zip(missing, solutions):
-                key = (ctx, r_max)
-                if key not in _cache:
-                    _cache[key] = solution
-                    _solves += 1
-                    while len(_cache) > CACHE_MAXSIZE:
-                        _cache.popitem(last=False)
-                        _evictions += 1
-                resolved[key] = _cache[key]
-
-    return tuple(resolved[(ctx, r_max)] for ctx in ctxs)
+    if solver_context is None:
+        solver_context = SolverContext()
+    return solver_context.batch_degrees(
+        [(ctx, r_max) for ctx in ctxs],
+        lambda keys: _evaluate_batch([ctx for ctx, _ in keys], r_max),
+    )
 
 
 def solve_degree(
-    ctx: PipelineContext, r_max: int = DEFAULT_MAX_DEGREE
+    ctx: PipelineContext,
+    r_max: int = DEFAULT_MAX_DEGREE,
+    solver_context: SolverContext | None = None,
 ) -> DegreeSolution:
     """Single-context convenience wrapper over :func:`solve_degrees_batch`."""
-    return solve_degrees_batch((ctx,), r_max)[0]
+    return solve_degrees_batch((ctx,), r_max, solver_context)[0]
 
 
 # -- merged-comm (No-IIO) sweep ----------------------------------------------

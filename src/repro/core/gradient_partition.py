@@ -22,9 +22,10 @@ NumPy pass** (``vectorized=True``): the availability repair runs as a
 per-layer recurrence over ``(candidates,)`` columns, every layer's
 ``f_moe`` curve is interpolated for all candidates at once, and the
 AllReduce model is applied array-wise.  A scalar per-candidate path is
-kept behind ``REPRO_STEP2_IMPL=scalar`` for cross-checking; both paths
-execute the same IEEE operation sequence per candidate, so the same seed
-yields bit-identical plans (pinned in the tests).
+kept as the reference, reached only through an explicit
+``step2_impl="scalar"`` argument; both paths execute the same IEEE
+operation sequence per candidate, so the same seed yields bit-identical
+plans (pinned in the tests).
 
 Layers are indexed in *forward* order; backward processes index
 ``n_l - 1`` first.  A layer's own gradients only become available after
@@ -35,7 +36,6 @@ construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +45,7 @@ from scipy.optimize import differential_evolution, minimize
 from ..errors import SolverError
 from .cases import overlappable_time, overlappable_time_merged_comm
 from .constraints import PipelineContext
-from .fastsolve import record_step2_objective
+from .context import SolverContext
 from .perf_model import LinearPerfModel
 from .pipeline_degree import (
     DEFAULT_MAX_DEGREE,
@@ -62,28 +62,9 @@ STEP2_SOLVERS = ("de", "slsqp", "none")
 
 #: Step-2 objective implementations.  ``"batch"`` (the default) evaluates
 #: a whole DE population per NumPy pass; ``"scalar"`` is the one
-#: candidate-at-a-time reference kept for cross-checking.  Selected via
-#: the ``REPRO_STEP2_IMPL`` environment variable or the ``step2_impl``
-#: argument of :func:`plan_gradient_partition`.
+#: candidate-at-a-time reference kept for cross-checking, selected with
+#: the ``step2_impl`` argument of :func:`plan_gradient_partition`.
 STEP2_IMPLS = ("batch", "scalar")
-
-
-def resolve_step2_impl(step2_impl: str | None = None) -> str:
-    """Resolve the Step-2 objective implementation to use.
-
-    Precedence: an explicit ``step2_impl`` argument, then the
-    ``REPRO_STEP2_IMPL`` environment variable, then ``"batch"``.
-
-    Raises:
-        SolverError: for a value outside :data:`STEP2_IMPLS`.
-    """
-    impl = step2_impl or os.environ.get("REPRO_STEP2_IMPL") or "batch"
-    if impl not in STEP2_IMPLS:
-        raise SolverError(
-            f"unknown Step-2 implementation {impl!r}; "
-            f"choose from {STEP2_IMPLS}"
-        )
-    return impl
 
 
 @dataclass(frozen=True)
@@ -216,14 +197,19 @@ class GradientPartitionPlan:
 
 
 def _moe_windows_ms(
-    layers: tuple[GeneralizedLayer, ...], r_max: int, merged_comm: bool
+    layers: tuple[GeneralizedLayer, ...],
+    r_max: int,
+    merged_comm: bool,
+    solver_context: SolverContext,
 ) -> tuple[float, ...]:
     """Overlappable inter-node idle time per layer at its t_gar=0 degree.
 
     All layers' zero-GAR Algorithm-1 solves go through one batched call.
     """
     zero_ctxs = [layer.ctx.with_t_gar(0.0) for layer in layers]
-    solutions = solve_degrees(zero_ctxs, r_max)
+    solutions = solve_degrees(
+        zero_ctxs, r_max, solver_context=solver_context
+    )
     window = (
         overlappable_time_merged_comm if merged_comm else overlappable_time
     )
@@ -292,8 +278,11 @@ class _MoETimeInterpolator:
 
     GRID_POINTS = 33
 
-    def __init__(self, r_max: int, t_gar_max: float) -> None:
+    def __init__(
+        self, r_max: int, t_gar_max: float, solver_context: SolverContext
+    ) -> None:
         self._r_max = r_max
+        self._solver_context = solver_context
         self._t_max = max(t_gar_max, 1e-9)
         self._grid = np.linspace(0.0, self._t_max, self.GRID_POINTS)
         self._curves: dict[PipelineContext, np.ndarray] = {}
@@ -308,7 +297,9 @@ class _MoETimeInterpolator:
         batched = [
             ctx.with_t_gar(float(t)) for ctx in pending for t in self._grid
         ]
-        solutions = solve_degrees(batched, self._r_max)
+        solutions = solve_degrees(
+            batched, self._r_max, solver_context=self._solver_context
+        )
         times = np.array([s.time_ms for s in solutions]).reshape(
             len(pending), self.GRID_POINTS
         )
@@ -397,7 +388,8 @@ def plan_gradient_partition(
     de_maxiter: int = 40,
     de_popsize: int = 12,
     seed: int = 0,
-    step2_impl: str | None = None,
+    step2_impl: str = "batch",
+    solver_context: SolverContext | None = None,
 ) -> GradientPartitionPlan:
     """Produce the full two-step partitioning plan for one backward pass.
 
@@ -422,11 +414,12 @@ def plan_gradient_partition(
         de_maxiter / de_popsize / seed: differential-evolution knobs
             (paper §5.3 uses DE since this runs once before training).
         step2_impl: Step-2 objective implementation, one of
-            :data:`STEP2_IMPLS`, or ``None`` to defer to the
-            ``REPRO_STEP2_IMPL`` environment variable (default
-            ``"batch"``).  Both implementations produce bit-identical
-            plans for the same seed; ``"scalar"`` exists for
-            cross-checking and timing.
+            :data:`STEP2_IMPLS`.  Both implementations produce
+            bit-identical plans for the same seed; ``"scalar"`` is the
+            reference kept for cross-checking and timing.
+        solver_context: the session's Algorithm-1 memos and counters
+            (Step-2 objective passes are counted there too); None uses
+            a fresh one.
 
     Raises:
         SolverError: for an empty layer list, unknown solver, or unknown
@@ -438,7 +431,13 @@ def plan_gradient_partition(
         raise SolverError(
             f"unknown Step-2 solver {solver!r}; choose from {STEP2_SOLVERS}"
         )
-    impl = resolve_step2_impl(step2_impl)
+    if step2_impl not in STEP2_IMPLS:
+        raise SolverError(
+            f"unknown Step-2 implementation {step2_impl!r}; "
+            f"choose from {STEP2_IMPLS}"
+        )
+    if solver_context is None:
+        solver_context = SolverContext()
     if solver is None:
         solver = "de" if use_differential_evolution else "none"
     elif solver == "de" and not use_differential_evolution:
@@ -446,7 +445,9 @@ def plan_gradient_partition(
     layer_tuple = tuple(layers)
     n = len(layer_tuple)
 
-    moe_windows_ms = _moe_windows_ms(layer_tuple, r_max, merged_comm)
+    moe_windows_ms = _moe_windows_ms(
+        layer_tuple, r_max, merged_comm, solver_context
+    )
     moe_window_bytes, dense_window_bytes, residual_before = _step1_fill(
         layer_tuple, ar_model, moe_windows_ms
     )
@@ -461,7 +462,7 @@ def plan_gradient_partition(
             t_gar_max = ar_model.time_ms(
                 max(moe_window_bytes) + residual_cap
             )
-            interp = _MoETimeInterpolator(r_max, t_gar_max)
+            interp = _MoETimeInterpolator(r_max, t_gar_max, solver_context)
             ctxs = [layer.ctx for layer in layer_tuple]
             interp.prepare(ctxs)
             window_bytes = np.asarray(moe_window_bytes, dtype=float)
@@ -470,7 +471,7 @@ def plan_gradient_partition(
                 # One candidate.  Left-to-right accumulation, mirrored
                 # op-for-op by the batched pass below so both paths yield
                 # the same IEEE result per candidate.
-                record_step2_objective(1)
+                solver_context.record_step2(1)
                 assigned = 0.0
                 total = 0.0
                 for i, layer in enumerate(layer_tuple):
@@ -485,7 +486,7 @@ def plan_gradient_partition(
 
             def objective_bytes_batch(proposals: np.ndarray) -> np.ndarray:
                 # A whole (candidates, n_layers) population in one pass.
-                record_step2_objective(proposals.shape[0])
+                solver_context.record_step2(proposals.shape[0])
                 t_gar = ar_model.time_ms_array(
                     window_bytes[None, :] + proposals
                 )
@@ -499,7 +500,7 @@ def plan_gradient_partition(
                 return total + ar_model.time_ms_array(tail)
 
             if solver == "de":
-                if impl == "batch":
+                if step2_impl == "batch":
 
                     def objective(u: np.ndarray) -> np.ndarray:
                         # scipy sends (n_params, candidates); a lone
@@ -528,7 +529,7 @@ def plan_gradient_partition(
                     tol=1e-6,
                     polish=False,
                     updating="deferred",
-                    vectorized=(impl == "batch"),
+                    vectorized=(step2_impl == "batch"),
                 )
                 extra = _repair(result.x * residual_cap, residual_before)
             else:  # slsqp
@@ -572,6 +573,7 @@ def plan_gradient_partition(
             for i in range(n)
         ],
         r_max,
+        solver_context=solver_context,
     )
     return GradientPartitionPlan(
         placement=GarPlacement(

@@ -15,17 +15,15 @@ Two interchangeable solvers produce the integer pipeline degree:
   feasible candidate is rounded to its best neighbouring integer degree
   under the exact decision-tree time.
 
-The process-wide default is ``"batch"``; override per call with the
-``solver=`` argument, per process with :func:`set_default_degree_solver`
-or the ``REPRO_DEGREE_SOLVER`` environment variable (how the cold-plan
-benchmark measures the SLSQP path end-to-end).
+The choice belongs to the session's
+:class:`~repro.core.context.SolverContext` (default ``"batch"``); the
+cold-plan benchmark measures the SLSQP path end to end by planning
+through a context built with ``degree_solver="slsqp"``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,48 +35,14 @@ from ..errors import SolverError
 from ..obs.trace import maybe_span
 from .cases import CASE_BRANCHES, Case, analytic_time, case_time, classify
 from .constraints import PipelineContext
+from .context import DEGREE_MEMO_SIZE, SolverContext
 
 #: default cap on the pipeline degree; Tutel exposes degrees up to 8-16 and
 #: chunk counts beyond this give diminishing returns while multiplying
 #: startup costs.
 DEFAULT_MAX_DEGREE = 16
 
-#: accepted values of the ``solver=`` argument / process default.
-DEGREE_SOLVERS = ("batch", "slsqp")
-
 _CONSTRAINT_TOL = 1e-7
-
-_default_solver = os.environ.get("REPRO_DEGREE_SOLVER", "batch")
-
-
-def set_default_degree_solver(solver: str) -> str:
-    """Set the process-wide Algorithm-1 solver; returns the previous one.
-
-    Raises:
-        SolverError: for an unknown solver name.
-    """
-    global _default_solver
-    if solver not in DEGREE_SOLVERS:
-        raise SolverError(
-            f"unknown degree solver {solver!r}; choose from {DEGREE_SOLVERS}"
-        )
-    previous = _default_solver
-    _default_solver = solver
-    return previous
-
-
-def get_default_degree_solver() -> str:
-    """The process-wide Algorithm-1 solver currently in effect.
-
-    Raises:
-        SolverError: when ``REPRO_DEGREE_SOLVER`` named an unknown solver.
-    """
-    if _default_solver not in DEGREE_SOLVERS:
-        raise SolverError(
-            f"REPRO_DEGREE_SOLVER={_default_solver!r} is not a known "
-            f"degree solver; choose from {DEGREE_SOLVERS}"
-        )
-    return _default_solver
 
 
 @dataclass(frozen=True)
@@ -158,32 +122,33 @@ def find_optimal_pipeline_degree(
     ctx: PipelineContext,
     r_max: int = DEFAULT_MAX_DEGREE,
     *,
-    solver: str | None = None,
+    solver_context: SolverContext | None = None,
 ) -> DegreeSolution:
     """Run Algorithm 1 and return the best integer pipeline degree.
 
-    Results are memoized: contexts are frozen value objects and the
-    algorithm is pure, so repeated calls for identical layers (the common
-    case -- every layer of a model shares one context) cost one solve.
+    Results are memoized in ``solver_context``: contexts are frozen
+    value objects and the algorithm is pure, so repeated calls for
+    identical layers (the common case -- every layer of a model shares
+    one context) cost one solve.
 
     Args:
         ctx: layer/phase performance context (``t_gar`` already set: zero
             in forward, partition-plan value in backward).
         r_max: inclusive upper bound on the degree (must be >= 1).
-        solver: ``"batch"`` (vectorized exact sweep) or ``"slsqp"`` (the
-            paper's continuous relaxation); None uses the process default.
+        solver_context: the session's memos, counters and Algorithm-1
+            implementation; None uses a fresh batched one.
 
     Raises:
-        SolverError: if ``r_max < 1`` or the solver is unknown.
+        SolverError: if ``r_max < 1``.
     """
-    return solve_degrees((ctx,), r_max, solver=solver)[0]
+    return solve_degrees((ctx,), r_max, solver_context=solver_context)[0]
 
 
 def solve_degrees(
     ctxs: Sequence[PipelineContext],
     r_max: int = DEFAULT_MAX_DEGREE,
     *,
-    solver: str | None = None,
+    solver_context: SolverContext | None = None,
 ) -> tuple[DegreeSolution, ...]:
     """Algorithm-1 solutions for many contexts, batched when possible.
 
@@ -191,15 +156,22 @@ def solve_degrees(
     (:func:`~repro.core.fastsolve.solve_degrees_batch`); ``"slsqp"``
     falls back to per-context solves through the memoized SLSQP path.
     This is the single dispatch point every scheduling caller uses, so
-    flipping the process default really flips the whole pipeline.
+    the context's ``degree_solver`` really flips the whole pipeline.
+
+    Args:
+        ctxs: pipeline contexts, any length.
+        r_max: inclusive upper bound on the degree (must be >= 1).
+        solver_context: the session's memos, counters and Algorithm-1
+            implementation; None uses a fresh batched one.
 
     Raises:
-        SolverError: if ``r_max < 1`` or the solver is unknown.
+        SolverError: if ``r_max < 1``.
     """
     if r_max < 1:
         raise SolverError(f"r_max must be >= 1, got {r_max}")
-    if solver is None:
-        solver = get_default_degree_solver()
+    if solver_context is None:
+        solver_context = SolverContext()
+    solver = solver_context.degree_solver
     span = maybe_span("solve_degrees")
     if span is not None:
         span.set(contexts=len(ctxs), solver=solver, r_max=int(r_max))
@@ -209,23 +181,23 @@ def solve_degrees(
             # module, so a top-level import would be circular.
             from .fastsolve import solve_degrees_batch
 
-            return solve_degrees_batch(ctxs, r_max)
-        if solver == "slsqp":
-            return tuple(_find_optimal_cached(ctx, r_max) for ctx in ctxs)
-        raise SolverError(
-            f"unknown degree solver {solver!r}; choose from "
-            f"{DEGREE_SOLVERS}"
+            return solve_degrees_batch(ctxs, r_max, solver_context)
+        return tuple(
+            solver_context.memo(
+                "slsqp",
+                (ctx, r_max),
+                lambda ctx=ctx: _solve_slsqp(ctx, r_max),
+                DEGREE_MEMO_SIZE,
+            )
+            for ctx in ctxs
         )
     finally:
         if span is not None:
             span.end()
 
 
-@functools.lru_cache(maxsize=65536)
-def _find_optimal_cached(
-    ctx: PipelineContext, r_max: int
-) -> DegreeSolution:
-
+def _solve_slsqp(ctx: PipelineContext, r_max: int) -> DegreeSolution:
+    """Algorithm 1 by SLSQP over every case region, rounded exactly."""
     per_case: dict[Case, float] = {}
     candidates: list[float] = [1.0]
     best_continuous: tuple[float, float] | None = None

@@ -1,7 +1,7 @@
 """Metrics registry: Counter/Gauge/Histogram in one named namespace.
 
 The library already counts everything exactly -- four separate stats
-families (:class:`~repro.core.fastsolve.SolverStats`,
+families (:class:`~repro.core.context.SolverStats`,
 :class:`~repro.serve.stats.ServiceStats`,
 :class:`~repro.cache.stats.CacheStats`,
 :class:`~repro.api.workspace.WorkspaceStats`) with their own field
@@ -448,7 +448,7 @@ def workspace_metrics(
     * ``repro.cache.{l1,l2,l3,profiles_remote}.*`` -- per-tier counters
       plus the ``entries``/``bytes`` occupancy gauges;
     * ``repro.solver.*`` -- the batched Algorithm-1 and Step-2 solver
-      counters (process-wide);
+      counters of the workspace's solver context;
     * ``repro.serve.*`` -- the bound service's counters and its exact
       latency histogram (only when a service is bound).
 

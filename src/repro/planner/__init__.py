@@ -12,9 +12,6 @@ Three layers on top of the scheduling core:
 * :mod:`~repro.planner.batch` -- :func:`plan_many`, a concurrent sweep
   over ``clusters x stacks x systems`` grids with all profiling
   deduplicated through one shared store.
-
-The seed-era :class:`~repro.core.scheduler.GenericScheduler` facade
-remains as a thin compatibility shim over :class:`PlanCompiler`.
 """
 
 from .store import ProfileStore, StoreStats

@@ -1,7 +1,8 @@
 """The plan compiler: heterogeneous stacks in, serializable plans out.
 
-:class:`PlanCompiler` is the planner's middle layer.  It generalizes the
-seed ``GenericScheduler`` facade in three ways:
+:class:`PlanCompiler` is the planner's middle layer: the paper's
+front-end (profiling, §3.2) and back-end (scheduling) behind one
+object, with three properties:
 
 * **heterogeneous stacks** -- every layer of an iteration may have its
   own :class:`~repro.config.MoELayerSpec` (different hidden sizes,
@@ -10,7 +11,8 @@ seed ``GenericScheduler`` facade in three ways:
 * **cached front-end** -- all profiling goes through a
   :class:`~repro.planner.store.ProfileStore`, so compiling a second
   system on the same stack, or the same stack on a second day, re-fits
-  nothing;
+  nothing; the store's solver context memoizes the back-end's
+  Algorithm-1 and Step-2 solutions the same way;
 * **persistable back-end** -- compilation produces an
   :class:`~repro.planner.plan.IterationPlan` that serializes to JSON and
   replays bit-identically.
@@ -25,7 +27,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..config import MoELayerSpec, ParallelSpec, standard_layout
-from ..core.fastsolve import solver_stats
 from ..core.perf_model import PerfModelSet
 from ..core.pipeline_degree import DEFAULT_MAX_DEGREE, solve_degrees
 from ..core.profiler import ProfileResult
@@ -203,8 +204,9 @@ class PlanCompiler:
             routing_overhead: multiplier on gate+order compute.
             include_gar: set False to exclude gradient synchronization.
         """
+        solver_context = self.store.solver_context
         span = maybe_span("compile")
-        before = solver_stats() if span is not None else None
+        before = solver_context.stats if span is not None else None
         profiles: tuple[LayerProfile, ...] = ()
         try:
             profiles = self.resolve_stack(
@@ -217,17 +219,24 @@ class PlanCompiler:
                 profiles
             )
             if contexts:
-                solve_degrees(contexts, getattr(system, "r_max", self.r_max))
+                solve_degrees(
+                    contexts,
+                    getattr(system, "r_max", self.r_max),
+                    solver_context=solver_context,
+                )
             spec = system.build_iteration_spec(
-                profiles, self.models, include_gar
+                profiles,
+                self.models,
+                include_gar,
+                solver_context=solver_context,
             )
             return IterationPlan.from_spec(spec)
         finally:
             if span is not None:
-                # Window the process-wide solver counters over this
-                # compile (other threads' concurrent compiles bleed in;
-                # exact in single-threaded compiles).
-                window = solver_stats() - before
+                # Window the store's solver counters over this compile
+                # (concurrent compiles on the same store bleed in; exact
+                # in single-threaded compiles).
+                window = solver_context.stats - before
                 span.set(
                     layers=len(profiles),
                     system=getattr(system, "name", type(system).__name__),

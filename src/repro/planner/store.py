@@ -18,6 +18,11 @@ The store is thread-safe and suitable for the concurrent fan-out of
 once even under races (losers block on the winner's
 :class:`~concurrent.futures.Future`), so the hit/miss counters are exact
 and "re-planning did zero new profiling" is directly assertable.
+
+The store also owns the session's
+:class:`~repro.core.context.SolverContext`: every Algorithm-1 and
+Step-2 memo and counter of the plans compiled through it, so solver
+state is shared exactly as widely as the profiles are.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..config import MoELayerSpec, ParallelSpec
+from ..core.context import SolverContext
 from ..core.perf_model import PerfModelSet
 from ..core.profiler import ProfileResult, profile_cluster
 from ..models.transformer import LayerProfile, profile_layer
@@ -78,9 +84,18 @@ class ProfileStore:
     One store can back many :class:`~repro.planner.compiler.PlanCompiler`
     instances (one per cluster in a sweep); sharing a store across a
     sweep is what deduplicates the work.
+
+    Args:
+        degree_solver: the Algorithm-1 implementation of the store's
+            :attr:`solver_context` (``"batch"`` or ``"slsqp"``).
+
+    Attributes:
+        solver_context: the solver memos and counters of every plan
+            compiled through this store.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, degree_solver: str = "batch") -> None:
+        self.solver_context = SolverContext(degree_solver)
         self._lock = threading.Lock()
         self._entries: dict[tuple, Future] = {}
         self._cluster_hits = 0
@@ -276,8 +291,8 @@ class ProfileStore:
 
         Same signature and semantics as
         :func:`~repro.models.transformer.profile_layer`.  Repeated calls
-        return the *same object*, so downstream per-profile caches (the
-        systems' ``lru_cache`` of Algorithm-1 solutions) hit as well.
+        return the *same object*, so downstream per-profile memos (the
+        solver context's Algorithm-1 solutions) hit as well.
         """
         key = (spec, parallel, models, gate_kind, routing_overhead)
         return self._memoize(

@@ -110,13 +110,9 @@ class Artifact:
         deterministic: True when the output bytes are a pure function
             of the configuration (checked by ``repro report --check``);
             False for artifacts that embed wall-clock measurements.
-        parallel_safe: True when the producer only reads and plans
-            through the shared workspace (whose caches are
-            thread-safe), so ``repro report --jobs N`` may run it
-            concurrently with other artifacts.  False for producers
-            that mutate process-wide solver state (default-solver
-            switches, cache resets, timed cold runs) -- those run
-            serially after the pool drains.
+            ``repro report --jobs N`` runs every deterministic artifact
+            in its thread pool and the measured ones serially after the
+            pool drains, where contention cannot skew their timings.
     """
 
     name: str
@@ -125,7 +121,6 @@ class Artifact:
     producer: str | Producer
     outputs: tuple[str, ...]
     deterministic: bool = True
-    parallel_safe: bool = True
 
     def resolve_producer(self) -> Producer:
         """Import (if needed) and return the producer callable.
@@ -328,7 +323,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_ablation_slsqp_vs_oracle"),
         outputs=("ablation_slsqp_vs_oracle.txt",),
         deterministic=False,  # reports measured solve times
-        parallel_safe=False,  # switches the default degree solver
     ),
     Artifact(
         name="perf-planner",
@@ -337,7 +331,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_cold_plan"),
         outputs=("perf_cold_plan.txt", "BENCH_planner.json"),
         deterministic=False,
-        parallel_safe=False,  # resets solver caches for cold timings
     ),
     Artifact(
         name="perf-step2",
@@ -346,7 +339,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_step2"),
         outputs=("perf_step2.txt",),
         deterministic=False,
-        parallel_safe=False,  # windows the process-wide solver counters
     ),
     Artifact(
         name="perf-serve",
@@ -355,7 +347,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_serve"),
         outputs=("perf_serve.txt", "BENCH_serve.json"),
         deterministic=False,
-        parallel_safe=False,  # resets solver caches for cold timings
     ),
     Artifact(
         name="perf-netserve",
@@ -364,7 +355,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_netserve"),
         outputs=("perf_netserve.txt", "BENCH_netserve.json"),
         deterministic=False,
-        parallel_safe=False,  # binds a TCP server; latency under load
     ),
     Artifact(
         name="perf-cache",
@@ -373,7 +363,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_cache"),
         outputs=("perf_cache.txt", "BENCH_cache.json"),
         deterministic=False,
-        parallel_safe=False,  # spawns subprocess fleets + a cache server
     ),
     Artifact(
         name="perf-obs",
@@ -382,7 +371,6 @@ DEFAULT_ARTIFACTS: tuple[Artifact, ...] = (
         producer=_bench("test_perf_obs"),
         outputs=("perf_obs.txt", "BENCH_obs.json"),
         deterministic=False,
-        parallel_safe=False,  # wall-clock ratios; contention would skew
     ),
 )
 

@@ -29,31 +29,21 @@ def _fence_for(text: str) -> str:
     return "`" * max(3, longest + 1)
 
 
-def _nn(value: int) -> int:
-    """Clamp a windowed counter at zero.
-
-    The perf artifacts reset the process-wide solver stats inside their
-    window (to measure cold runs), which would otherwise render as a
-    negative delta.
-    """
-    return max(0, value)
-
-
 def _counters_line(stats: WorkspaceStats) -> str:
     """One-sentence cache/solver summary for an artifact window."""
     profiles = stats.profiles
     solver = stats.solver
     cache = stats.cache
     return (
-        f"Counters: {_nn(profiles.misses)} profiles fitted "
-        f"({_nn(profiles.hits)} cache hits), {_nn(stats.plan_misses)} "
-        f"plans compiled ({_nn(stats.plan_hits)} cache hits; tiers "
-        f"L1 {_nn(cache.l1.hits)}/L2 {_nn(cache.l2.hits)}/L3 "
-        f"{_nn(cache.l3.hits)}), "
-        f"{_nn(solver.solves)} degree solves in "
-        f"{_nn(solver.batch_calls)} batched calls, "
-        f"{_nn(solver.step2_candidates)} Step-2 candidates in "
-        f"{_nn(solver.step2_objective_calls)} objective calls."
+        f"Counters: {profiles.misses} profiles fitted "
+        f"({profiles.hits} cache hits), {stats.plan_misses} "
+        f"plans compiled ({stats.plan_hits} cache hits; tiers "
+        f"L1 {cache.l1.hits}/L2 {cache.l2.hits}/L3 "
+        f"{cache.l3.hits}), "
+        f"{solver.solves} degree solves in "
+        f"{solver.batch_calls} batched calls, "
+        f"{solver.step2_candidates} Step-2 candidates in "
+        f"{solver.step2_objective_calls} objective calls."
     )
 
 
@@ -72,9 +62,9 @@ def _summary_rows(
             f"[`{record.artifact.name}`](#{record.artifact.name})",
             record.artifact.paper_ref,
             len(record.result.outputs),
-            _nn(record.stats.profiles.misses),
-            _nn(record.stats.plan_misses),
-            _nn(record.stats.solver.solves),
+            record.stats.profiles.misses,
+            record.stats.plan_misses,
+            record.stats.solver.solves,
         ]
         if include_timings:
             row.append(f"{record.wall_s:.1f}")

@@ -171,10 +171,11 @@ def run_report(
             it completes (the CLI prints these).  Always invoked from
             the calling thread, in selection order.
         jobs: producer thread count.  With ``jobs > 1`` the
-            parallel-safe artifacts run concurrently through the shared
-            workspace (its caches and plan single-flight are
-            thread-safe); artifacts marked ``parallel_safe=False`` run
-            serially after the pool drains.  The returned ``runs`` are
+            deterministic artifacts run concurrently through the shared
+            workspace (its caches, solver context and plan single-flight
+            are thread-safe); the measured (``deterministic=False``)
+            artifacts run serially after the pool drains, so contention
+            cannot skew their timings.  The returned ``runs`` are
             always in selection order, so rendering and
             :func:`write_outputs` are order-identical to a serial run.
 
@@ -215,12 +216,12 @@ def run_report(
             pooled = [
                 (a, p)
                 for a, p in zip(artifacts, producers)
-                if a.parallel_safe
+                if a.deterministic
             ]
             serial = [
                 (a, p)
                 for a, p in zip(artifacts, producers)
-                if not a.parallel_safe
+                if not a.deterministic
             ]
             with ThreadPoolExecutor(
                 max_workers=jobs, thread_name_prefix="repro-report"

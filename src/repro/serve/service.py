@@ -506,7 +506,11 @@ class PlanService:
                 by_rmax.setdefault(req.system.r_max, []).extend(contexts)
         for r_max, contexts in by_rmax.items():
             try:
-                solve_degrees(contexts, r_max)
+                solve_degrees(
+                    contexts,
+                    r_max,
+                    solver_context=self.workspace.store.solver_context,
+                )
             except Exception:
                 pass  # per-group resolves retry their own contexts
 

@@ -2,7 +2,7 @@
 
 Follows the library's counters-not-logs convention
 (:class:`~repro.planner.store.StoreStats`,
-:class:`~repro.core.fastsolve.SolverStats`): every number is exact, so
+:class:`~repro.core.context.SolverStats`): every number is exact, so
 tests assert "this burst coalesced into one batch and deduplicated 199
 of 200 requests" instead of eyeballing throughput.
 

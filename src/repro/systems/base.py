@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
+from ..core.context import SolverContext
 from ..core.perf_model import PerfModelSet
 from ..core.pipeline_degree import DEFAULT_MAX_DEGREE
 from ..core.schedules import IterationSpec, build_iteration_graph
@@ -24,6 +25,11 @@ class TrainingSystem(abc.ABC):
     Stacks may be *heterogeneous*: ``profiles`` is one profile per
     generalized layer and the entries are free to describe different
     layer shapes (hidden size, expert count, top-k, routing function).
+
+    Every scheduling method takes an optional ``solver_context``: the
+    session's :class:`~repro.core.context.SolverContext`, whose memos
+    and counters the system's solvers use.  A call without one gets a
+    fresh context.
     """
 
     #: display name used in benchmark tables.
@@ -59,6 +65,8 @@ class TrainingSystem(abc.ABC):
         profiles: Sequence[LayerProfile],
         models: PerfModelSet,
         include_gar: bool = True,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> IterationSpec:
         """Assemble the iteration description for this system.
 
@@ -68,6 +76,7 @@ class TrainingSystem(abc.ABC):
             models: fitted performance models of the target cluster.
             include_gar: set False to exclude gradient synchronization
                 (used by the pipeline-parallel model to charge it once).
+            solver_context: the session's solver memos and counters.
         """
 
     def compile_plan(
@@ -76,6 +85,7 @@ class TrainingSystem(abc.ABC):
         models: PerfModelSet,
         *,
         include_gar: bool = True,
+        solver_context: SolverContext | None = None,
     ):
         """Compile a persistable :class:`~repro.planner.plan.IterationPlan`.
 
@@ -88,7 +98,9 @@ class TrainingSystem(abc.ABC):
         from ..planner.plan import IterationPlan
 
         return IterationPlan.from_spec(
-            self.build_iteration_spec(profiles, models, include_gar)
+            self.build_iteration_spec(
+                profiles, models, include_gar, solver_context=solver_context
+            )
         )
 
     def iteration_time_ms(
@@ -98,10 +110,16 @@ class TrainingSystem(abc.ABC):
         *,
         phase: str = "both",
         include_gar: bool = True,
+        solver_context: SolverContext | None = None,
     ) -> float:
         """Simulated makespan of one iteration (or one phase)."""
-        spec = self.build_iteration_spec(profiles, models, include_gar)
-        return simulate(build_iteration_graph(spec, phase=phase)).makespan_ms
+        return self.timeline(
+            profiles,
+            models,
+            phase=phase,
+            include_gar=include_gar,
+            solver_context=solver_context,
+        ).makespan_ms
 
     def timeline(
         self,
@@ -110,26 +128,40 @@ class TrainingSystem(abc.ABC):
         *,
         phase: str = "both",
         include_gar: bool = True,
+        solver_context: SolverContext | None = None,
     ) -> Timeline:
         """Full execution trace (for Gantt rendering and inspection)."""
-        spec = self.build_iteration_spec(profiles, models, include_gar)
+        spec = self.build_iteration_spec(
+            profiles, models, include_gar, solver_context=solver_context
+        )
         return simulate(build_iteration_graph(spec, phase=phase))
 
     def phase_times_ms(
-        self, profiles: Sequence[LayerProfile], models: PerfModelSet
+        self,
+        profiles: Sequence[LayerProfile],
+        models: PerfModelSet,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> tuple[float, float, float]:
         """(forward, backward-without-GAR, backward-with-GAR) makespans.
 
         The pipeline-parallel model consumes these to build the GPipe
-        schedule with gradient work charged once at the flush.
+        schedule with gradient work charged once at the flush.  The
+        three schedules share one context (a fresh one when omitted).
         """
-        fw = self.iteration_time_ms(
-            profiles, models, phase="forward", include_gar=False
+        if solver_context is None:
+            solver_context = SolverContext()
+        return tuple(
+            self.iteration_time_ms(
+                profiles,
+                models,
+                phase=phase,
+                include_gar=include_gar,
+                solver_context=solver_context,
+            )
+            for phase, include_gar in (
+                ("forward", False),
+                ("backward", False),
+                ("backward", True),
+            )
         )
-        bw_no_gar = self.iteration_time_ms(
-            profiles, models, phase="backward", include_gar=False
-        )
-        bw_gar = self.iteration_time_ms(
-            profiles, models, phase="backward", include_gar=True
-        )
-        return fw, bw_no_gar, bw_gar

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from ..core.context import SolverContext
 from ..core.perf_model import PerfModelSet
 from ..core.schedules import (
     GarMode,
@@ -37,6 +38,8 @@ class DeepSpeedMoE(TrainingSystem):
         profiles: Sequence[LayerProfile],
         models: PerfModelSet,
         include_gar: bool = True,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> IterationSpec:
         """All ops on one stream; gradient AllReduce at the very end.
 

@@ -16,15 +16,14 @@ intra- with inter-node communication on one stream (the paper's
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
+from ..core.context import SolverContext
 from ..core.gradient_partition import (
     STEP2_SOLVERS,
     GeneralizedLayer,
     GradientPartitionPlan,
     plan_gradient_partition,
-    resolve_step2_impl,
 )
 from ..core.fastsolve import solve_merged_phase_degree
 from ..core.perf_model import PerfModelSet
@@ -36,41 +35,51 @@ from ..core.schedules import (
     StreamMap,
     THREE_STREAM,
     TWO_STREAM,
-    build_iteration_graph,
 )
 from ..errors import SolverError
 from ..models.transformer import LayerProfile
-from ..sim.engine import simulate
 from .base import TrainingSystem
 
+#: bound on a context's memo of partition plans.
+PARTITION_MEMO_SIZE = 1024
 
-@functools.lru_cache(maxsize=1024)
+#: bound on a context's memo of merged-comm phase degrees.
+MERGED_DEGREE_MEMO_SIZE = 4096
+
+
 def _partition_plan(
     profiles: tuple[LayerProfile, ...],
     models: PerfModelSet,
     r_max: int,
     merged_comm: bool,
     solver: str,
-    step2_impl: str,
+    solver_context: SolverContext,
 ) -> GradientPartitionPlan:
-    # step2_impl is resolved by the caller (not read from the environment
-    # here) so flipping REPRO_STEP2_IMPL mid-process can never serve a
-    # plan memoized under the other implementation.
-    layers = [
-        GeneralizedLayer(
-            ctx=p.ctx_bw,
-            dense_overlappable_ms=p.dense_bw_ms,
-            grad_bytes=p.grad_bytes,
+    """The stack's gradient partition plan, memoized in the context."""
+
+    def compute() -> GradientPartitionPlan:
+        layers = [
+            GeneralizedLayer(
+                ctx=p.ctx_bw,
+                dense_overlappable_ms=p.dense_bw_ms,
+                grad_bytes=p.grad_bytes,
+            )
+            for p in profiles
+        ]
+        return plan_gradient_partition(
+            layers,
+            models.allreduce,
+            r_max=r_max,
+            merged_comm=merged_comm,
+            solver=solver,
+            solver_context=solver_context,
         )
-        for p in profiles
-    ]
-    return plan_gradient_partition(
-        layers,
-        models.allreduce,
-        r_max=r_max,
-        merged_comm=merged_comm,
-        solver=solver,
-        step2_impl=step2_impl,
+
+    return solver_context.memo(
+        "partition_plan",
+        (profiles, models, r_max, merged_comm, solver),
+        compute,
+        PARTITION_MEMO_SIZE,
     )
 
 
@@ -116,6 +125,7 @@ class FSMoE(TrainingSystem):
         profiles: tuple[LayerProfile, ...],
         models: PerfModelSet,
         plan: GradientPartitionPlan | None,
+        solver_context: SolverContext,
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-layer (forward, backward) degrees from Algorithm 1.
 
@@ -127,7 +137,9 @@ class FSMoE(TrainingSystem):
         contexts = [p.ctx_fw for p in profiles]
         if plan is None:
             contexts += [p.ctx_bw for p in profiles]
-        solutions = solve_degrees(contexts, self.r_max)
+        solutions = solve_degrees(
+            contexts, self.r_max, solver_context=solver_context
+        )
         n = len(profiles)
         fw = tuple(s.degree for s in solutions[:n])
         if plan is not None:
@@ -141,6 +153,8 @@ class FSMoE(TrainingSystem):
         profiles: Sequence[LayerProfile],
         models: PerfModelSet,
         include_gar: bool = True,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> IterationSpec:
         """Per-phase Algorithm-1 degrees + adaptive gradient partitioning.
 
@@ -148,6 +162,8 @@ class FSMoE(TrainingSystem):
         Algorithm-1 degrees and its own slice of the gradient partition
         (the paper's per-layer flexibility, Table 5).
         """
+        if solver_context is None:
+            solver_context = SolverContext()
         key = tuple(profiles)
         plan = (
             _partition_plan(
@@ -156,12 +172,14 @@ class FSMoE(TrainingSystem):
                 self.r_max,
                 self._merged_comm,
                 self.solver,
-                resolve_step2_impl(),
+                solver_context,
             )
             if include_gar
             else None
         )
-        fw_degrees, bw_degrees = self._phase_degrees(key, models, plan)
+        fw_degrees, bw_degrees = self._phase_degrees(
+            key, models, plan, solver_context
+        )
         forward = tuple(
             LayerPhaseSchedule(
                 ctx=p.ctx_fw, degree=fw_degrees[i], dense_ms=p.dense_fw_ms
@@ -200,12 +218,23 @@ class FSMoE(TrainingSystem):
         )
 
 
-@functools.lru_cache(maxsize=4096)
 def _merged_phase_degree(
     profiles: tuple[LayerProfile, ...],
-    models: PerfModelSet,
     r_max: int,
     phase: str,
+    solver_context: SolverContext,
+) -> int:
+    """:func:`sweep_merged_phase_degree`, memoized in the context."""
+    return solver_context.memo(
+        "merged_phase_degree",
+        (profiles, r_max, phase),
+        lambda: sweep_merged_phase_degree(profiles, r_max, phase),
+        MERGED_DEGREE_MEMO_SIZE,
+    )
+
+
+def sweep_merged_phase_degree(
+    profiles: tuple[LayerProfile, ...], r_max: int, phase: str
 ) -> int:
     """Best degree for one phase of the merged-comm (2-stream) schedule.
 
@@ -219,8 +248,7 @@ def _merged_phase_degree(
     :func:`~repro.core.fastsolve.merged_phase_times`: every integer
     degree of the whole stack in one array pass, bit-identical (degree
     and makespan) to building and event-simulating one task graph per
-    degree (kept as :func:`_merged_phase_degree_sim` and pinned equal in
-    the tests).
+    degree (the simulate-per-degree reference in ``tests/oracles``).
     """
     if phase == "forward":
         ctxs = [p.ctx_fw for p in profiles]
@@ -235,47 +263,6 @@ def _merged_phase_degree(
         ctxs, dense, r_max, dense_first=dense_first
     )
     return degree
-
-
-def _merged_phase_degree_sim(
-    profiles: tuple[LayerProfile, ...],
-    models: PerfModelSet,
-    r_max: int,
-    phase: str,
-) -> int:
-    """Simulate-per-degree reference for :func:`_merged_phase_degree`.
-
-    The pre-vectorization implementation, kept as the pinned oracle: it
-    builds one 2-stream task graph per candidate degree and takes the
-    event-simulated makespan.  Tests assert the vectorized sweep matches
-    it exactly.
-    """
-    best_r, best_t = 1, float("inf")
-    for r in range(1, r_max + 1):
-        layers = tuple(
-            LayerPhaseSchedule(
-                ctx=p.ctx_fw if phase == "forward" else p.ctx_bw,
-                degree=r,
-                dense_ms=(
-                    p.dense_fw_ms if phase == "forward" else p.dense_bw_ms
-                ),
-            )
-            for p in profiles
-        )
-        spec = IterationSpec(
-            name="noiio-sweep",
-            forward=layers,
-            backward=layers,
-            grad_bytes=tuple(0.0 for _ in profiles),
-            ar_model=models.allreduce,
-            streams=TWO_STREAM,
-            gar_mode=GarMode.END,
-        )
-        t = simulate(build_iteration_graph(spec, phase=phase)).makespan_ms
-        if t < best_t - 1e-12:
-            best_t = t
-            best_r = r
-    return best_r
 
 
 class FSMoENoIIO(FSMoE):
@@ -298,9 +285,14 @@ class FSMoENoIIO(FSMoE):
         profiles: tuple[LayerProfile, ...],
         models: PerfModelSet,
         plan: GradientPartitionPlan | None,
+        solver_context: SolverContext,
     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Per-phase degrees swept on the 2-stream schedule itself."""
-        fw = _merged_phase_degree(profiles, models, self.r_max, "forward")
-        bw = _merged_phase_degree(profiles, models, self.r_max, "backward")
+        fw = _merged_phase_degree(
+            profiles, self.r_max, "forward", solver_context
+        )
+        bw = _merged_phase_degree(
+            profiles, self.r_max, "backward", solver_context
+        )
         n = len(profiles)
         return (fw,) * n, (bw,) * n

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from ..core.context import SolverContext
 from ..core.perf_model import PerfModelSet
 from ..core.schedules import GarMode, IterationSpec, LINA_CHUNK_BYTES
 from ..models.transformer import LayerProfile
@@ -37,6 +38,8 @@ class PipeMoELina(Tutel):
         profiles: Sequence[LayerProfile],
         models: PerfModelSet,
         include_gar: bool = True,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> IterationSpec:
         """PipeMoE schedule with background 30 MB AllReduce chunks.
 
@@ -44,7 +47,9 @@ class PipeMoELina(Tutel):
         the single degree that minimizes the whole stack's makespan.
         """
         key = tuple(profiles)
-        degree = _oracle_degree(key, models, self.r_max, include_gar)
+        degree = _oracle_degree(
+            key, models, self.r_max, include_gar, solver_context
+        )
         spec = _pipemoe_spec(
             key, models, degree, GarMode.FIXED_CHUNKS, include_gar, self.name
         )

@@ -14,9 +14,9 @@ right after that layer's dense backward so it can hide under non-MoE work
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
+from ..core.context import SolverContext
 from ..core.fastsolve import best_swept_degree, merged_iteration_times
 from ..core.perf_model import PerfModelSet
 from ..core.schedules import (
@@ -24,15 +24,33 @@ from ..core.schedules import (
     IterationSpec,
     LayerPhaseSchedule,
     TWO_STREAM,
-    build_iteration_graph,
 )
 from ..models.transformer import LayerProfile
-from ..sim.engine import simulate
 from .base import TrainingSystem
 
+#: bound on a context's memo of oracle degrees.
+ORACLE_DEGREE_MEMO_SIZE = 4096
 
-@functools.lru_cache(maxsize=4096)
+
 def _oracle_degree(
+    profiles: tuple[LayerProfile, ...],
+    models: PerfModelSet,
+    r_max: int,
+    include_gar: bool,
+    solver_context: SolverContext | None,
+) -> int:
+    """:func:`sweep_oracle_degree`, memoized in the context."""
+    if solver_context is None:
+        return sweep_oracle_degree(profiles, models, r_max, include_gar)
+    return solver_context.memo(
+        "oracle_degree",
+        (profiles, models, r_max, include_gar),
+        lambda: sweep_oracle_degree(profiles, models, r_max, include_gar),
+        ORACLE_DEGREE_MEMO_SIZE,
+    )
+
+
+def sweep_oracle_degree(
     profiles: tuple[LayerProfile, ...],
     models: PerfModelSet,
     r_max: int,
@@ -43,7 +61,7 @@ def _oracle_degree(
     Vectorized: all degrees of the full fw+bw+GAR-tail iteration in one
     :func:`~repro.core.fastsolve.merged_iteration_times` pass,
     bit-identical to building and event-simulating one task graph per
-    degree (kept as :func:`_oracle_degree_sim`, pinned in the tests).
+    degree (the simulate-per-degree reference in ``tests/oracles``).
     """
     times = merged_iteration_times(
         [p.ctx_fw for p in profiles],
@@ -57,25 +75,6 @@ def _oracle_degree(
         r_max,
     )
     return best_swept_degree(times)[0]
-
-
-def _oracle_degree_sim(
-    profiles: tuple[LayerProfile, ...],
-    models: PerfModelSet,
-    r_max: int,
-    include_gar: bool,
-) -> int:
-    """Simulate-per-degree reference for :func:`_oracle_degree`."""
-    best_r, best_t = 1, float("inf")
-    for r in range(1, r_max + 1):
-        spec = _pipemoe_spec(
-            profiles, models, r, GarMode.END, include_gar, name="sweep"
-        )
-        t = simulate(build_iteration_graph(spec)).makespan_ms
-        if t < best_t - 1e-12:
-            best_t = t
-            best_r = r
-    return best_r
 
 
 def _pipemoe_spec(
@@ -117,6 +116,8 @@ class Tutel(TrainingSystem):
         profiles: Sequence[LayerProfile],
         models: PerfModelSet,
         include_gar: bool = True,
+        *,
+        solver_context: SolverContext | None = None,
     ) -> IterationSpec:
         """Oracle-swept single degree, shared by forward and backward.
 
@@ -125,7 +126,9 @@ class Tutel(TrainingSystem):
         stack's simulated makespan.
         """
         key = tuple(profiles)
-        degree = _oracle_degree(key, models, self.r_max, include_gar)
+        degree = _oracle_degree(
+            key, models, self.r_max, include_gar, solver_context
+        )
         return _pipemoe_spec(
             key, models, degree, self._gar_mode, include_gar, self.name
         )

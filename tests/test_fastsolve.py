@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,18 +12,12 @@ from hypothesis import given, settings
 
 from repro.core.constraints import ContextArrays, PipelineContext
 from repro.core.cases import analytic_time, analytic_time_batch, classify, classify_batch
-from repro.core.fastsolve import (
-    clear_solver_cache,
-    solve_degree,
-    solve_degrees_batch,
-    solver_stats,
-)
+from repro.core.context import SolverContext
+from repro.core.fastsolve import solve_degree, solve_degrees_batch
 from repro.core.perf_model import LinearPerfModel
 from repro.core.pipeline_degree import (
     find_optimal_pipeline_degree,
-    get_default_degree_solver,
     oracle_integer_degree,
-    set_default_degree_solver,
     solve_degrees,
 )
 from repro.errors import SolverError
@@ -150,60 +146,100 @@ class TestInterface:
 
     def test_duplicates_resolve_to_one_solve(self):
         ctx = random_contexts(1, seed=23)[0]
-        clear_solver_cache(reset_stats=False)
-        before = solver_stats()
-        solutions = solve_degrees_batch([ctx] * 10, 16)
-        after = solver_stats()
+        context = SolverContext()
+        solutions = solve_degrees_batch([ctx] * 10, 16, context)
         assert len(solutions) == 10
         assert len({id(s) for s in solutions}) == 1
-        assert (after.solves - before.solves) == 1
+        assert context.stats.solves == 1
 
     def test_memo_hits_across_calls(self):
         ctx = random_contexts(1, seed=29)[0]
-        clear_solver_cache()
-        solve_degree(ctx, 16)
-        before = solver_stats()
-        solve_degree(ctx, 16)
-        after = solver_stats()
+        context = SolverContext()
+        solve_degree(ctx, 16, context)
+        before = context.stats
+        solve_degree(ctx, 16, context)
+        after = context.stats
         assert after.cache_hits == before.cache_hits + 1
         assert after.solves == before.solves
 
     def test_stats_track_batch_sizes(self):
-        clear_solver_cache()
         ctxs = random_contexts(12, seed=31)
-        before = solver_stats()
-        solve_degrees_batch(ctxs, 16)
-        after = solver_stats()
-        assert after.batch_calls == before.batch_calls + 1
-        assert after.max_batch_size >= 12
+        context = SolverContext()
+        solve_degrees_batch(ctxs, 16, context)
+        assert context.stats.batch_calls == 1
+        assert context.stats.max_batch_size == 12
+
+    def test_contexts_share_nothing(self):
+        ctx = random_contexts(1, seed=43)[0]
+        first, second = SolverContext(), SolverContext()
+        solve_degree(ctx, 16, first)
+        solve_degree(ctx, 16, second)
+        # the second context solved it again: no memo hit leaked across
+        assert first.stats.solves == second.stats.solves == 1
+        assert first.stats.cache_hits == second.stats.cache_hits == 0
+
+    def test_shared_context_counts_exactly_under_threads(self):
+        """Threads sharing one context lose no counter update and see
+        one memoized value per key."""
+        ctxs = random_contexts(6, seed=47)
+        context = SolverContext()
+        seen: list[object] = []
+        rounds, workers = 2000, 8
+
+        def work() -> None:
+            for i in range(rounds):
+                if i % 100 == 0:
+                    solve_degrees_batch(ctxs, 16, context)
+                    seen.append(context.memo("t", "key", object, 4))
+                context.record_step2(3)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = context.stats
+        assert stats.solves == len(ctxs)
+        assert stats.step2_objective_calls == rounds * workers
+        assert stats.step2_candidates == 3 * rounds * workers
+        assert len({id(value) for value in seen}) == 1
 
 
 class TestSolverDispatch:
     def test_default_solver_is_batch(self):
-        assert get_default_degree_solver() == "batch"
+        assert SolverContext().degree_solver == "batch"
 
     def test_find_optimal_accepts_explicit_solver(self):
         ctx = random_contexts(1, seed=37)[0]
-        batch = find_optimal_pipeline_degree(ctx, solver="batch")
-        slsqp = find_optimal_pipeline_degree(ctx, solver="slsqp")
+        batch = find_optimal_pipeline_degree(
+            ctx, solver_context=SolverContext("batch")
+        )
+        slsqp = find_optimal_pipeline_degree(
+            ctx, solver_context=SolverContext("slsqp")
+        )
         # SLSQP is near-optimal; batch is exact.
         assert batch.time_ms <= slsqp.time_ms + 1e-9
 
     def test_unknown_solver_rejected(self):
-        ctx = random_contexts(1)[0]
         with pytest.raises(SolverError):
-            find_optimal_pipeline_degree(ctx, solver="bogus")
-        with pytest.raises(SolverError):
-            set_default_degree_solver("bogus")
+            SolverContext("bogus")
 
-    def test_set_default_solver_roundtrip(self):
-        previous = set_default_degree_solver("slsqp")
-        try:
-            assert get_default_degree_solver() == "slsqp"
-            ctx = random_contexts(1, seed=41)[0]
-            via_default = solve_degrees((ctx,), 16)[0]
-            explicit = find_optimal_pipeline_degree(ctx, solver="slsqp")
-            assert via_default.degree == explicit.degree
-        finally:
-            set_default_degree_solver(previous)
-        assert get_default_degree_solver() == previous
+    def test_context_solver_drives_solve_degrees(self):
+        context = SolverContext("slsqp")
+        ctx = random_contexts(1, seed=41)[0]
+        via_context = solve_degrees((ctx,), 16, solver_context=context)[0]
+        # the SLSQP path memoizes without touching the batch counters
+        assert context.stats.solves == 0
+        assert via_context is solve_degrees(
+            (ctx,), 16, solver_context=context
+        )[0]
+        fresh = find_optimal_pipeline_degree(
+            ctx, solver_context=SolverContext("slsqp")
+        )
+        assert via_context == fresh

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import PipelineContext
-from repro.core.fastsolve import solver_stats
+from repro.core.context import SolverContext
 from repro.core.gradient_partition import (
     GeneralizedLayer,
     _repair,
     _repair_matrix,
     _step1_fill,
     plan_gradient_partition,
-    resolve_step2_impl,
 )
 from repro.core.perf_model import LinearPerfModel
 from repro.errors import SolverError
@@ -239,16 +238,15 @@ class TestStep2Solvers:
     def test_explicit_slsqp_survives_legacy_flag(self):
         """The legacy switch only downgrades DE; an explicit non-DE
         solver is honored as written (it used to be forced to none)."""
-        from repro.core.fastsolve import solver_stats
-
         layers = [make_layer(grad_mb=80.0, dense_ms=1.0) for _ in range(4)]
-        before = solver_stats()
+        context = SolverContext()
         with_flag = plan_gradient_partition(
-            layers, AR, solver="slsqp", use_differential_evolution=False
+            layers, AR, solver="slsqp", use_differential_evolution=False,
+            solver_context=context,
         )
         # Step 2 actually ran: the objective was evaluated (solver="none"
         # never touches it), so the flag no longer silently forced "none".
-        assert (solver_stats() - before).step2_objective_calls > 0
+        assert context.stats.step2_objective_calls > 0
         without_flag = plan_gradient_partition(layers, AR, solver="slsqp")
         assert with_flag.extra_bytes == without_flag.extra_bytes
         assert with_flag.tail_bytes == without_flag.tail_bytes
@@ -372,7 +370,7 @@ def _plans_identical(plan_a, plan_b):
 
 
 class TestBatchedStep2:
-    """`REPRO_STEP2_IMPL=batch` and `=scalar` yield bit-identical plans."""
+    """`step2_impl="batch"` and `="scalar"` yield bit-identical plans."""
 
     @settings(max_examples=15, deadline=None)
     @given(stack=_stacks(), seed=st.integers(0, 50))
@@ -425,34 +423,28 @@ class TestBatchedStep2:
         scalar = plan_gradient_partition(built, AR, step2_impl="scalar")
         _plans_identical(batch, scalar)
 
-    def test_env_var_selects_impl(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEP2_IMPL", "scalar")
-        assert resolve_step2_impl() == "scalar"
-        # an explicit argument wins over the environment
-        assert resolve_step2_impl("batch") == "batch"
-        monkeypatch.delenv("REPRO_STEP2_IMPL")
-        assert resolve_step2_impl() == "batch"
-
-    def test_unknown_impl_rejected(self, monkeypatch):
+    def test_unknown_impl_rejected(self):
         with pytest.raises(SolverError, match="unknown Step-2 impl"):
-            resolve_step2_impl("turbo")
-        monkeypatch.setenv("REPRO_STEP2_IMPL", "bogus")
-        with pytest.raises(SolverError, match="unknown Step-2 impl"):
-            plan_gradient_partition([make_layer()], AR)
+            plan_gradient_partition([make_layer()], AR, step2_impl="turbo")
 
     def test_step2_counters_measure_batching(self):
         layers = [make_layer(grad_mb=80.0, dense_ms=1.0) for _ in range(4)]
+        context = SolverContext()
 
-        before = solver_stats()
-        plan_gradient_partition(layers, AR, seed=7, step2_impl="batch")
-        batched = solver_stats() - before
+        before = context.stats
+        plan_gradient_partition(
+            layers, AR, seed=7, step2_impl="batch", solver_context=context
+        )
+        batched = context.stats - before
         assert batched.step2_objective_calls > 0
         # a batched pass covers a whole DE population per call
         assert batched.step2_candidates > batched.step2_objective_calls
 
-        before = solver_stats()
-        plan_gradient_partition(layers, AR, seed=7, step2_impl="scalar")
-        scalar = solver_stats() - before
+        before = context.stats
+        plan_gradient_partition(
+            layers, AR, seed=7, step2_impl="scalar", solver_context=context
+        )
+        scalar = context.stats - before
         # the scalar path evaluates exactly one candidate per call
         assert scalar.step2_objective_calls == scalar.step2_candidates > 0
         # both paths evaluated the same candidates overall

@@ -24,19 +24,11 @@ from repro.core.schedules import (
 from repro.models import profile_layer
 from repro.sim.engine import simulate
 from repro.core.fastsolve import merged_iteration_times
-from repro.systems.fsmoe import (
-    FSMoENoIIO,
-    _merged_phase_degree,
-    _merged_phase_degree_sim,
-)
-from repro.systems.tutel import (
-    Tutel,
-    _oracle_degree,
-    _oracle_degree_sim,
-    _pipemoe_spec,
-)
+from repro.systems.fsmoe import FSMoENoIIO, sweep_merged_phase_degree
+from repro.systems.tutel import Tutel, _pipemoe_spec, sweep_oracle_degree
 
 from .helpers import pipeline_contexts
+from .oracles.sweeps import merged_phase_degree_sim, oracle_degree_sim
 
 R_MAX = 8
 
@@ -161,7 +153,7 @@ class TestNoIIOSystemPinned:
     def test_degree_picker_equals_sim_reference(
         self, profile_b, models_b, parallel_b
     ):
-        """The production picker matches the kept simulate-per-degree path."""
+        """The production picker matches the simulate-per-degree oracle."""
         hetero_spec = MoELayerSpec(
             batch_size=2, seq_len=1024, embed_dim=2048,
             num_experts=parallel_b.n_ep, num_heads=16,
@@ -176,9 +168,9 @@ class TestNoIIOSystemPinned:
         for stack in stacks:
             for phase in ("forward", "backward"):
                 for r_max in (1, 4, 16):
-                    assert _merged_phase_degree.__wrapped__(
-                        stack, models_b, r_max, phase
-                    ) == _merged_phase_degree_sim(
+                    assert sweep_merged_phase_degree(
+                        stack, r_max, phase
+                    ) == merged_phase_degree_sim(
                         stack, models_b, r_max, phase
                     )
 
@@ -187,7 +179,7 @@ class TestNoIIOSystemPinned:
         system = FSMoENoIIO(solver="slsqp")
         profiles = (profile_b,) * 3
         spec = system.build_iteration_spec(profiles, models_b)
-        fw_ref = _merged_phase_degree_sim(
+        fw_ref = merged_phase_degree_sim(
             profiles, models_b, system.r_max, "forward"
         )
         assert {layer.degree for layer in spec.forward} == {fw_ref}
@@ -234,9 +226,9 @@ class TestTutelOraclePinned:
         for stack in [(profile_b,), (profile_b,) * 5]:
             for include_gar in (True, False):
                 for r_max in (1, 4, 16):
-                    assert _oracle_degree.__wrapped__(
+                    assert sweep_oracle_degree(
                         stack, models_b, r_max, include_gar
-                    ) == _oracle_degree_sim(
+                    ) == oracle_degree_sim(
                         stack, models_b, r_max, include_gar
                     )
 
@@ -244,6 +236,6 @@ class TestTutelOraclePinned:
         system = Tutel()
         profiles = (profile_b,) * 2
         spec = system.build_iteration_spec(profiles, models_b)
-        ref = _oracle_degree_sim(profiles, models_b, system.r_max, True)
+        ref = oracle_degree_sim(profiles, models_b, system.r_max, True)
         assert {layer.degree for layer in spec.forward} == {ref}
         assert {layer.degree for layer in spec.backward} == {ref}

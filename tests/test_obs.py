@@ -16,7 +16,7 @@ from repro import (
 from repro.api.spec import ExperimentSpec
 from repro.cache import CacheServer, RemoteTier
 from repro.cache.stats import CacheStats, TierStats
-from repro.core.fastsolve import SolverStats
+from repro.core.context import SolverStats
 from repro.obs import (
     DEFAULT_LATENCY_BOUNDS_MS,
     LATENCY_GROWTH,

@@ -31,6 +31,10 @@ TINY_LAYER = {
     "num_heads": 8,
 }
 
+#: wide enough that on Testbed B its gradients outgrow the Step-1
+#: windows, so FSMoE plans of it run the Step-2 search.
+STEP2_LAYER = dict(TINY_LAYER, embed_dim=1024)
+
 
 def _static_artifact(name: str, text: str = "hello\n") -> Artifact:
     """An artifact whose producer returns fixed bytes (no planning)."""
@@ -49,7 +53,12 @@ def _static_artifact(name: str, text: str = "hello\n") -> Artifact:
     )
 
 
-def _planning_artifact(name: str) -> Artifact:
+def _planning_artifact(
+    name: str,
+    system: str = "tutel",
+    num_layers: int = 2,
+    layer: dict = TINY_LAYER,
+) -> Artifact:
     """An artifact that actually plans, so counters move."""
 
     def produce(workspace, config):
@@ -58,9 +67,9 @@ def _planning_artifact(name: str) -> Artifact:
         spec = ExperimentSpec(
             name=name,
             clusters=(ClusterRef("B"),),
-            systems=("tutel",),
+            systems=(system,),
             stacks=(StackSpec.from_data(
-                {"layers": [TINY_LAYER], "num_layers": 2}
+                {"layers": [layer], "num_layers": num_layers}
             ),),
         )
         result = workspace.sweep(spec, max_workers=1)
@@ -191,6 +200,55 @@ class TestRunner:
         assert record.stats.profiles.misses > 0
         assert record.wall_s > 0
         assert run.stats.plan_misses == 1
+
+    def test_whole_run_counters_sum_per_artifact_windows(
+        self, tmp_path, registered
+    ):
+        # FSMoE plans drive Algorithm 1 and Step 2, so the solver
+        # counters move; the cold artifact plans on its own store, as the
+        # perf artifacts do, and must leave the workspace's counters be.
+        registered(_planning_artifact("test-sum-a", "fsmoe", 2, STEP2_LAYER))
+        registered(_planning_artifact("test-sum-b", "fsmoe", 3, STEP2_LAYER))
+
+        def cold(workspace, config):
+            from repro import FSMoE, MoELayerSpec, get_cluster, plan_many
+
+            sweep = plan_many(
+                [MoELayerSpec(**STEP2_LAYER)], [FSMoE()],
+                [get_cluster("B")], num_layers=4, max_workers=1,
+            )
+            return ArtifactResult(
+                artifact="test-sum-cold",
+                outputs={"test-sum-cold.txt": f"{len(sweep)}\n"},
+            )
+
+        registered(Artifact(
+            name="test-sum-cold", title="", paper_ref="test",
+            producer=cold, outputs=("test-sum-cold.txt",),
+        ))
+        run = run_report(
+            Workspace(tmp_path / "ws"),
+            ReportConfig(),
+            only=["test-sum-a", "test-sum-cold", "test-sum-b"],
+        )
+
+        def counters(stats) -> tuple[int, ...]:
+            solver = stats.solver
+            return (
+                stats.profiles.hits, stats.profiles.misses,
+                stats.plan_hits, stats.plan_misses,
+                solver.solves, solver.cache_hits, solver.batch_calls,
+                solver.evictions, solver.step2_objective_calls,
+                solver.step2_candidates,
+            )
+
+        windows = [counters(record.stats) for record in run.runs]
+        assert [sum(column) for column in zip(*windows)] == list(
+            counters(run.stats)
+        )
+        assert run.stats.solver.solves > 0
+        assert run.stats.solver.step2_candidates > 0
+        assert counters(run.runs[1].stats) == (0,) * 10
 
     def test_second_run_is_warm(self, tmp_path, registered):
         registered(_planning_artifact("test-warm"))
@@ -447,7 +505,7 @@ class TestJobs:
 
         seen: dict[str, threading.Thread] = {}
 
-        def make(name: str, safe: bool) -> None:
+        def make(name: str, deterministic: bool) -> None:
             def produce(workspace, config, name=name):
                 seen[name] = threading.current_thread()
                 return ArtifactResult(
@@ -456,9 +514,10 @@ class TestJobs:
 
             registered(Artifact(
                 name=name, title="", paper_ref="test", producer=produce,
-                outputs=(f"{name}.txt",), parallel_safe=safe,
+                outputs=(f"{name}.txt",), deterministic=deterministic,
             ))
 
+        # measured artifacts run serially on the caller, after the pool
         make("test-safe-a", True)
         make("test-unsafe", False)
         make("test-safe-b", True)

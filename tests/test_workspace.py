@@ -14,6 +14,7 @@ from repro import (
     ExperimentSpec,
     FSMoE,
     MoELayerSpec,
+    SolverStats,
     StackSpec,
     Tutel,
     Workspace,
@@ -182,6 +183,20 @@ class TestSweepGateOverrides:
         assert solver.solves > 0
         assert solver.batch_calls > 0
         assert solver.max_batch_size >= 1
+
+    def test_solver_counters_are_per_workspace(self, tmp_path):
+        """An idle workspace's solver counters stay put while another
+        workspace in the same process compiles."""
+        busy = Workspace(tmp_path / "busy")
+        idle = Workspace(tmp_path / "idle")
+        before = idle.stats
+        busy.plan(
+            [MoELayerSpec(embed_dim=512, num_experts=8, num_heads=8)] * 2,
+            FSMoE(),
+            make_testbed_b(),
+        )
+        assert busy.stats.solver.solves > 0
+        assert idle.stats.since(before).solver == SolverStats()
 
 
 class TestPlanGC:
