@@ -24,7 +24,7 @@ class TestFrontEnd:
     def test_profiling_is_cached(self, cluster_b, small_spec):
         store = ProfileStore()
         compiler = PlanCompiler(cluster_b, store=store)
-        assert compiler.layer_profile(small_spec).grad_bytes > 0
+        compiler.layer_profile(small_spec)
         compiler.layer_profile(small_spec)
         assert store.stats.cluster_misses == 1
         assert store.stats.layer_misses == 1
@@ -77,8 +77,6 @@ class TestStacks:
     def test_empty_stack_rejected(self, compiler):
         with pytest.raises(ConfigError):
             compiler.resolve_stack([])
-        with pytest.raises(ConfigError):
-            compiler.simulate([], FSMoE())
 
     def test_gate_kind_length_mismatch_rejected(self, compiler, small_spec):
         with pytest.raises(ConfigError):
@@ -91,15 +89,6 @@ class TestStacks:
         t_fsmoe = compiler.iteration_time_ms(stack, FSMoE())
         t_tutel = compiler.iteration_time_ms(stack, Tutel())
         assert t_fsmoe < t_tutel
-
-    def test_simulate_phases(self, compiler, small_spec):
-        stack = [small_spec, small_spec]
-        timeline = compiler.simulate(stack, FSMoE())
-        assert timeline.makespan_ms > 0
-        assert set(timeline.streams) == {"compute", "intra", "inter"}
-        forward = compiler.simulate(stack, Tutel(), phase="forward")
-        both = compiler.simulate(stack, Tutel())
-        assert forward.makespan_ms < both.makespan_ms
 
     def test_system_compile_plan_hook_matches_compiler(
         self, compiler, small_spec

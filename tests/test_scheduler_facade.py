@@ -1,16 +1,21 @@
-"""Tests for the GenericScheduler facade (paper §3.2)."""
+"""Tests for the scheduler's front-end/back-end split (paper §3.2).
+
+The front end profiles the cluster and a layer once; the back end
+schedules and simulates anything from those fits. Both are reached
+through :class:`~repro.planner.compiler.PlanCompiler`.
+"""
 
 import pytest
 
-from repro.core.scheduler import GenericScheduler
 from repro.errors import ConfigError
 from repro.moe.gates import GateKind
+from repro.planner import PlanCompiler
 from repro.systems import FSMoE, Tutel
 
 
 @pytest.fixture(scope="module")
 def scheduler(cluster_b):
-    return GenericScheduler(cluster_b)
+    return PlanCompiler(cluster_b)
 
 
 class TestFrontEnd:
@@ -26,50 +31,35 @@ class TestFrontEnd:
         assert all(r2 > 0.999 for r2 in quality.values())
 
     def test_profile_layer(self, scheduler, small_spec):
-        profile = scheduler.profile(small_spec)
+        profile = scheduler.layer_profile(small_spec)
         assert profile.grad_bytes > 0
 
 
 class TestBackEnd:
-    def test_schedule_layer_report(self, scheduler, small_spec):
-        report = scheduler.schedule_layer(small_spec)
-        assert report.forward.degree >= 1
-        assert report.backward.degree >= 1
-        assert report.forward_window_ms >= 0
-        assert "forward: r=" in report.summary()
-
     def test_gate_kind_changes_schedule_inputs(self, scheduler, small_spec):
-        gshard = scheduler.schedule_layer(small_spec, gate_kind=GateKind.GSHARD)
-        ec = scheduler.schedule_layer(
+        gshard = scheduler.layer_profile(small_spec, gate_kind=GateKind.GSHARD)
+        ec = scheduler.layer_profile(
             small_spec, gate_kind=GateKind.EXPERT_CHOICE
         )
-        assert (
-            ec.profile.volumes.a2a_bytes < gshard.profile.volumes.a2a_bytes
-        )
+        assert ec.volumes.a2a_bytes < gshard.volumes.a2a_bytes
 
     def test_simulate_iteration(self, scheduler, small_spec):
-        timeline = scheduler.simulate_iteration(small_spec, 2, FSMoE())
+        timeline = scheduler.simulate([small_spec] * 2, FSMoE())
         assert timeline.makespan_ms > 0
         assert set(timeline.streams) == {"compute", "intra", "inter"}
 
     def test_simulate_iteration_phases(self, scheduler, small_spec):
-        fw = scheduler.simulate_iteration(
-            small_spec, 2, Tutel(), phase="forward"
-        )
-        both = scheduler.simulate_iteration(small_spec, 2, Tutel())
+        fw = scheduler.simulate([small_spec] * 2, Tutel(), phase="forward")
+        both = scheduler.simulate([small_spec] * 2, Tutel())
         assert fw.makespan_ms < both.makespan_ms
 
-    def test_rejects_bad_layer_count(self, scheduler, small_spec):
+    def test_rejects_bad_layer_count(self, scheduler):
         with pytest.raises(ConfigError):
-            scheduler.simulate_iteration(small_spec, 0, FSMoE())
+            scheduler.simulate([], FSMoE())
 
     def test_fsmoe_beats_tutel_through_facade(self, scheduler, small_spec):
-        t_fsmoe = scheduler.simulate_iteration(
-            small_spec, 2, FSMoE()
-        ).makespan_ms
-        t_tutel = scheduler.simulate_iteration(
-            small_spec, 2, Tutel()
-        ).makespan_ms
+        t_fsmoe = scheduler.simulate([small_spec] * 2, FSMoE()).makespan_ms
+        t_tutel = scheduler.simulate([small_spec] * 2, Tutel()).makespan_ms
         assert t_fsmoe < t_tutel
 
     def test_best_a2a_algorithm(self, scheduler, small_spec):
