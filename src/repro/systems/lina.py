@@ -46,6 +46,8 @@ class PipeMoELina(Tutel):
         ``profiles`` may be heterogeneous; the oracle sweep then picks
         the single degree that minimizes the whole stack's makespan.
         """
+        if solver_context is None:
+            solver_context = SolverContext()
         key = tuple(profiles)
         degree = _oracle_degree(
             key, models, self.r_max, include_gar, solver_context

