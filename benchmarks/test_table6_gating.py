@@ -19,13 +19,11 @@ DeepSpeed-MoE additionally pays its unoptimized routing kernels.
 
 from __future__ import annotations
 
-from repro import standard_layout
-from repro.api.registry import get_cluster
-from repro.bench import evaluate_model, format_table
+from repro.api import ExperimentSpec, StackSpec
+from repro.bench import format_table
 from repro.models import GPT2_XL
 from repro.moe.gates import GateKind
 from repro.report import ArtifactResult, ReportConfig
-from repro.systems import DeepSpeedMoE, FSMoE
 
 PAPER_TABLE6 = {
     GateKind.GSHARD: (968.1, 707.7, 1.37),
@@ -42,34 +40,29 @@ GATE_LABEL = {
 }
 
 
-def run_gate(gate_kind, cluster, models, num_layers, store):
-    """Both systems' iteration times under one routing function."""
-    # DeepSpeedMoE applies its unoptimized-routing overhead internally.
-    return evaluate_model(
-        GPT2_XL,
-        cluster,
-        models,
-        [DeepSpeedMoE(), FSMoE()],
-        seq_len=256,
-        num_layers=num_layers,
-        gate_kind=gate_kind,
-        store=store,
-    )
-
-
 def produce(workspace, config: ReportConfig) -> ArtifactResult:
     """Regenerate the Table 6 gating-function comparison."""
-    cluster = get_cluster("B")
-    parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
-    models = workspace.store.models(cluster, parallel)
     num_layers = GPT2_XL.num_layers if config.full else 6
+    # One stack per routing function; DeepSpeedMoE applies its
+    # unoptimized-routing overhead internally.
+    spec = ExperimentSpec(
+        name="table6-gating",
+        clusters=("B",),
+        systems=("dsmoe", "fsmoe"),
+        stacks=tuple(
+            StackSpec(
+                model=GPT2_XL.name,
+                seq_len=256,
+                num_layers=num_layers,
+                gates=(kind.value,),
+            )
+            for kind in PAPER_TABLE6
+        ),
+    )
+    results = workspace.sweep(spec).config_results()
     rows = []
     times: dict[GateKind, dict[str, float]] = {}
-    for kind in (
-        GateKind.GSHARD, GateKind.XMOE, GateKind.SIGMOID,
-        GateKind.EXPERT_CHOICE,
-    ):
-        result = run_gate(kind, cluster, models, num_layers, workspace.store)
+    for kind, result in zip(PAPER_TABLE6, results):
         speedup = result.speedup("FSMoE", "DS-MoE")
         times[kind] = dict(result.times_ms)
         paper_ds, paper_fs, paper_speedup = PAPER_TABLE6[kind]

@@ -10,7 +10,8 @@ The new front door in four steps:
    profile store and a content-addressed plan cache;
 3. sweep the grid; every profile and every compiled plan lands on disk;
 4. re-run the sweep -- in this process or any later one -- and observe
-   *zero* new profiles and *zero* new plans via the exact counters.
+   *zero* new profiles and *zero* new plans via the exact counters; any
+   plan serializes to JSON and replays bit-identically.
 
 The same spec drives the CLI:  python -m repro sweep spec.json -w ws
 
@@ -20,7 +21,12 @@ Run:  python examples/experiment_sweep.py
 import tempfile
 import time
 
-from repro import ExperimentSpec, Workspace, available_systems
+from repro import (
+    ExperimentSpec,
+    IterationPlan,
+    Workspace,
+    available_systems,
+)
 
 # 1. the experiment, as data.  This dict could equally live in a JSON or
 # TOML file (ExperimentSpec.from_file) and run via `python -m repro sweep`.
@@ -78,6 +84,15 @@ with tempfile.TemporaryDirectory(prefix="repro-demo-ws-") as root:
           f"{stats.plan_misses} plans compiled, "
           f"{stats.plan_hits} plans replayed from cache")
     print("every makespan identical to the cold run (bit-identical replay)")
+
+    # any plan serializes to JSON and replays bit-identically -- the
+    # heterogeneous stack's included.
+    plan = replay.points[-1].plan
+    assert IterationPlan.from_json(plan.to_json()).simulate() == (
+        plan.simulate()
+    )
+    print(f"heterogeneous plan: degrees {plan.degrees}, "
+          "JSON round-trip OK")
 
     info = rerun.cache_info()
     print(f"\nworkspace layout: {info['plan_entries']} plan files "

@@ -15,14 +15,20 @@ invocation answers every what-if from the persistent caches.
 import sys
 import tempfile
 
-from repro import Workspace, standard_layout, testbed_a, testbed_b
-from repro.bench import evaluate_model, format_table
+from repro import (
+    ExperimentSpec,
+    StackSpec,
+    Workspace,
+    get_cluster,
+    standard_layout,
+)
+from repro.bench import format_table
 from repro.models import MIXTRAL_7B, layer_op_breakdown, layer_spec_for
 from repro.models.memory import estimate_memory, max_layers_that_fit
-from repro.systems import DeepSpeedMoE, FSMoE, Tutel
 
-def plan(workspace, cluster, seq_len: int, num_layers: int) -> None:
+def plan(workspace, testbed: str, seq_len: int, num_layers: int) -> None:
     store = workspace.store
+    cluster = get_cluster(testbed)
     parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
     models = store.models(cluster, parallel)
 
@@ -46,11 +52,17 @@ def plan(workspace, cluster, seq_len: int, num_layers: int) -> None:
         + breakdown["ReduceScatter"] + breakdown["AllReduce"]
     )
 
-    result = evaluate_model(
-        MIXTRAL_7B, cluster, models,
-        [DeepSpeedMoE(), Tutel(), FSMoE()],
-        seq_len=seq_len, num_layers=num_layers, store=store,
+    experiment = ExperimentSpec(
+        name=f"mixtral-{testbed}",
+        clusters=(testbed,),
+        systems=("dsmoe", "tutel", "fsmoe"),
+        stacks=(
+            StackSpec(
+                model=MIXTRAL_7B.name, seq_len=seq_len, num_layers=num_layers
+            ),
+        ),
     )
+    (result,) = workspace.sweep(experiment).config_results()
     tokens = spec.batch_size * seq_len * parallel.n_dp
 
     rows = []
@@ -77,12 +89,13 @@ def main(workspace: Workspace) -> None:
     # One workspace for both testbeds: re-running a what-if against an
     # already-profiled deployment costs nothing -- and with an on-disk
     # root, neither does re-running the whole script.
-    plan(workspace, testbed_a(), seq_len=1024, num_layers=7)
-    plan(workspace, testbed_b(), seq_len=256, num_layers=7)
-    workspace.save()
+    plan(workspace, "A", seq_len=1024, num_layers=7)
+    plan(workspace, "B", seq_len=256, num_layers=7)
     stats = workspace.stats
     print(f"(workspace {workspace.root}: {stats.profiles.misses} profiles "
-          f"fitted this run, {stats.profiles.hits} served from cache)")
+          f"fitted, {stats.plan_misses} plans compiled this run; "
+          f"{stats.profiles.hits} profiles and {stats.plan_hits} plans "
+          f"served from cache)")
     print("Reading: FSMoE's gains grow with the communication share; the "
           "simulator lets you answer 'is this cluster worth it?' before "
           "renting it.")

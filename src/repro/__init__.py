@@ -110,18 +110,12 @@ from .systems import (
     get_system,
     register_system,
 )
-from .planner import (
-    IterationPlan,
-    PlanCompiler,
-    PlanPoint,
-    ProfileStore,
-    SweepResult,
-    plan_many,
-)
+from .planner import IterationPlan, PlanCompiler, ProfileStore
 from .api import (
     ClusterRef,
     ExperimentResult,
     ExperimentSpec,
+    PlanPoint,
     StackSpec,
     Workspace,
     WorkspaceStats,
@@ -218,9 +212,6 @@ __all__ = [
     "ProfileStore",
     "PlanCompiler",
     "IterationPlan",
-    "PlanPoint",
-    "SweepResult",
-    "plan_many",
     # registries
     "ALL_SYSTEM_KEYS",
     "available_systems",
@@ -239,6 +230,7 @@ __all__ = [
     "WorkspaceStats",
     "ExperimentSpec",
     "ExperimentResult",
+    "PlanPoint",
     "StackSpec",
     "ClusterRef",
     # tiered cache

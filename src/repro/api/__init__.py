@@ -23,6 +23,7 @@ from .spec import ClusterRef, ExperimentSpec, StackSpec
 from .workspace import (
     WORKSPACE_SCHEMA_VERSION,
     ExperimentResult,
+    PlanPoint,
     Workspace,
     WorkspaceStats,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "StackSpec",
     "WORKSPACE_SCHEMA_VERSION",
     "ExperimentResult",
+    "PlanPoint",
     "Workspace",
     "WorkspaceStats",
 ]

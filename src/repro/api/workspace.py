@@ -69,7 +69,6 @@ from ..locking import FileLock
 from ..moe.gates import GateKind
 from ..obs.trace import Tracer
 from ..parallel.topology import ClusterSpec
-from ..planner.batch import PlanPoint
 from ..planner.compiler import PlanCompiler
 from ..planner.plan import IterationPlan
 from ..planner.store import ProfileStore, StoreStats
@@ -135,11 +134,59 @@ class WorkspaceStats:
 
 
 @dataclass(frozen=True)
+class PlanPoint:
+    """One planned grid point: a stack under a system on a cluster.
+
+    Attributes:
+        cluster: the target cluster.
+        parallel: the layout the plan was compiled for.
+        stack: per-layer specs of the planned iteration.
+        system_name: the training system's display name.
+        gate_kind: routing function used for the timing profiles (the
+            first layer's, for stacks with per-layer overrides).
+        plan: the compiled, serializable iteration plan.
+        makespan_ms: simulated iteration time of the plan.
+        gate_kinds: per-layer routing functions, when they differ from a
+            uniform ``gate_kind`` (None for homogeneous gating).
+    """
+
+    cluster: ClusterSpec
+    parallel: ParallelSpec
+    stack: tuple[MoELayerSpec, ...]
+    system_name: str
+    gate_kind: GateKind
+    plan: IterationPlan
+    makespan_ms: float
+    gate_kinds: tuple[GateKind, ...] | None = None
+
+    def row(self) -> dict[str, object]:
+        """Flat dict view for tables / pandas post-processing."""
+        first = self.stack[0]
+        if self.gate_kinds is not None:
+            gate = ",".join(kind.value for kind in self.gate_kinds)
+        else:
+            gate = self.gate_kind.value
+        return {
+            "cluster": self.cluster.name,
+            "system": self.system_name,
+            "num_layers": len(self.stack),
+            "heterogeneous": len(set(self.stack)) > 1,
+            "batch_size": first.batch_size,
+            "seq_len": first.seq_len,
+            "embed_dim": first.embed_dim,
+            "num_experts": first.num_experts,
+            "top_k": first.top_k,
+            "gate_kind": gate,
+            "makespan_ms": self.makespan_ms,
+        }
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
     """All planned points of one :meth:`Workspace.sweep`, in grid order.
 
     Grid order is ``clusters`` (outer) x ``stacks`` x ``systems``
-    (inner), matching :func:`~repro.planner.batch.plan_many`.
+    (inner), independent of which worker finished first.
     """
 
     spec: ExperimentSpec
@@ -154,15 +201,17 @@ class ExperimentResult:
 
     def config_results(self) -> list[ConfigResult]:
         """One :class:`~repro.bench.runner.ConfigResult` per
-        (cluster, stack) case, in grid order.
+        (cluster, layout, stack, gates) case, in grid order.
 
-        Bridges declarative sweeps into the existing reporting helpers
-        (:func:`~repro.bench.runner.speedups_over`, ...).
+        Bridges declarative sweeps into the reporting helpers
+        (:func:`~repro.bench.runner.speedups_over`, ...).  Stacks that
+        differ only in their routing functions stay separate cases.
         """
         cases: dict[tuple, ConfigResult] = {}
         order: list[tuple] = []
         for point in self.points:
-            key = (point.cluster, point.stack)
+            gates = point.gate_kinds or (point.gate_kind,) * len(point.stack)
+            key = (point.cluster, point.parallel, point.stack, gates)
             if key not in cases:
                 cases[key] = ConfigResult(
                     spec=point.stack[0],

@@ -1,12 +1,9 @@
-"""Benchmark harness: workload grids, runners, and text reporting."""
+"""Benchmark harness: workload grids, result aggregation, text reporting."""
 
 from .workloads import TABLE4_GRID, configured_layer_grid, grid_size
 from .runner import (
     CONFIGURED_LAYER_COUNT,
     ConfigResult,
-    evaluate_config,
-    evaluate_config_grid,
-    evaluate_model,
     geometric_mean,
     speedups_over,
 )
@@ -18,9 +15,6 @@ __all__ = [
     "grid_size",
     "CONFIGURED_LAYER_COUNT",
     "ConfigResult",
-    "evaluate_config",
-    "evaluate_config_grid",
-    "evaluate_model",
     "geometric_mean",
     "speedups_over",
     "format_table",

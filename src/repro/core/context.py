@@ -10,7 +10,7 @@ Algorithm-1 implementation choice.  Two contexts never share state, so
 
 The planner's :class:`~repro.planner.store.ProfileStore` owns one, which
 gives the solver memos exactly the store's sharing: a
-:class:`~repro.api.workspace.Workspace`, a ``plan_many`` sweep and every
+:class:`~repro.api.workspace.Workspace` and every
 :class:`~repro.planner.compiler.PlanCompiler` on one store share one
 context.  A direct solver call made without a context gets a fresh one.
 """

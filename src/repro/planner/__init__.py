@@ -1,6 +1,6 @@
-"""The planning subsystem: cached, batched, heterogeneous scheduling.
+"""The planning subsystem: cached, heterogeneous scheduling.
 
-Three layers on top of the scheduling core:
+Two layers on top of the scheduling core:
 
 * :mod:`~repro.planner.store` -- :class:`ProfileStore`, a thread-safe
   content-addressed cache over the online profiler, so repeated planning
@@ -8,16 +8,16 @@ Three layers on top of the scheduling core:
 * :mod:`~repro.planner.compiler` -- :class:`PlanCompiler`, which turns a
   (possibly heterogeneous) stack of layer specs plus a training system
   into a serializable :class:`IterationPlan` (JSON in/out, bit-identical
-  replay);
-* :mod:`~repro.planner.batch` -- :func:`plan_many`, a concurrent sweep
-  over ``clusters x stacks x systems`` grids with all profiling
-  deduplicated through one shared store.
+  replay).
+
+Grids of ``clusters x stacks x systems`` are planned through
+:meth:`repro.api.workspace.Workspace.sweep`, which adds the persistent
+plan cache on top of these two layers.
 """
 
 from .store import ProfileStore, StoreStats
 from .plan import PLAN_SCHEMA_VERSION, IterationPlan
 from .compiler import PlanCompiler
-from .batch import PlanPoint, SweepResult, plan_many
 
 __all__ = [
     "ProfileStore",
@@ -25,7 +25,4 @@ __all__ = [
     "PLAN_SCHEMA_VERSION",
     "IterationPlan",
     "PlanCompiler",
-    "PlanPoint",
-    "SweepResult",
-    "plan_many",
 ]

@@ -14,7 +14,7 @@ the measurement (gate kind, noise, seed, ...): equal content means equal
 key, no serialization involved.
 
 The store is thread-safe and suitable for the concurrent fan-out of
-:func:`~repro.planner.batch.plan_many`: each key is computed exactly
+:meth:`~repro.api.workspace.Workspace.sweep`: each key is computed exactly
 once even under races (losers block on the winner's
 :class:`~concurrent.futures.Future`), so the hit/miss counters are exact
 and "re-planning did zero new profiling" is directly assertable.

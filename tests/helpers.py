@@ -1,11 +1,29 @@
-"""Shared test helpers: random pipeline contexts via hypothesis."""
+"""Shared test helpers: random pipeline contexts, per-system times."""
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.bench import CONFIGURED_LAYER_COUNT, ConfigResult
 from repro.core.constraints import PipelineContext
 from repro.core.perf_model import LinearPerfModel
+from repro.planner import PlanCompiler
+
+
+def config_result(
+    spec, cluster, models, systems, num_layers=CONFIGURED_LAYER_COUNT
+) -> ConfigResult:
+    """Every system's iteration time on ``num_layers`` copies of ``spec``."""
+    compiler = PlanCompiler(cluster, models=models)
+    stack = [spec] * num_layers
+    return ConfigResult(
+        spec=spec,
+        parallel=compiler.parallel,
+        times_ms={
+            system.name: compiler.iteration_time_ms(stack, system)
+            for system in systems
+        },
+    )
 
 
 @st.composite

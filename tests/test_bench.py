@@ -3,17 +3,18 @@
 import pytest
 
 from repro.bench import (
+    ConfigResult,
     configured_layer_grid,
-    evaluate_config,
     format_table,
     geometric_mean,
     grid_size,
     speedups_over,
 )
 from repro.bench.workloads import TABLE4_GRID
-from repro.config import MoELayerSpec
 from repro.errors import ConfigError
 from repro.systems import FSMoE, Tutel
+
+from .helpers import config_result
 
 
 class TestGrid:
@@ -44,22 +45,16 @@ class TestGrid:
 
 
 class TestRunner:
-    def test_evaluate_config(self, cluster_b, models_b, small_spec):
+    def test_speedup(self, cluster_b, models_b, small_spec):
         systems = [Tutel(), FSMoE()]
-        result = evaluate_config(small_spec, cluster_b, models_b, systems)
+        result = config_result(small_spec, cluster_b, models_b, systems)
         assert set(result.times_ms) == {"Tutel", "FSMoE"}
         assert result.speedup("FSMoE", "Tutel") > 1.0
 
-    def test_expert_count_coerced_to_nodes(self, cluster_b, models_b):
-        spec = MoELayerSpec(
-            batch_size=1, seq_len=256, embed_dim=1024,
-            num_experts=3, top_k=2, num_heads=16,
+    def test_speedup_unknown_system(self, parallel_b, small_spec):
+        result = ConfigResult(
+            spec=small_spec, parallel=parallel_b, times_ms={"Tutel": 1.0}
         )
-        result = evaluate_config(spec, cluster_b, models_b, [Tutel()])
-        assert result.spec.num_experts == 8  # Testbed B has 8 nodes
-
-    def test_speedup_unknown_system(self, cluster_b, models_b, small_spec):
-        result = evaluate_config(small_spec, cluster_b, models_b, [Tutel()])
         with pytest.raises(ConfigError):
             result.speedup("Nope", "Tutel")
 
@@ -78,8 +73,8 @@ class TestStats:
     def test_speedups_over(self, cluster_b, models_b, small_spec):
         systems = [Tutel(), FSMoE()]
         results = [
-            evaluate_config(small_spec, cluster_b, models_b, systems),
-            evaluate_config(
+            config_result(small_spec, cluster_b, models_b, systems),
+            config_result(
                 small_spec.with_(seq_len=256), cluster_b, models_b, systems
             ),
         ]

@@ -8,12 +8,16 @@ library breaks a shape (who wins, by roughly what factor).
 import pytest
 
 from repro import MoELayerSpec, standard_layout
-from repro.bench import evaluate_config, evaluate_model
 from repro.core.cases import analytic_time
 from repro.core.pipeline_degree import find_optimal_pipeline_degree
 from repro.core.schedules import GarMode, THREE_STREAM, IterationSpec, \
     LayerPhaseSchedule, build_iteration_graph
-from repro.models import GPT2_XL, layer_op_breakdown, profile_layer
+from repro.models import (
+    GPT2_XL,
+    layer_op_breakdown,
+    layer_spec_for,
+    profile_layer,
+)
 from repro.sim import simulate
 from repro.systems import (
     DeepSpeedMoE,
@@ -23,6 +27,8 @@ from repro.systems import (
     Tutel,
     TutelImproved,
 )
+
+from .helpers import config_result
 
 #: paper Table 2, Testbed B, GPT2 layer (B=4, L=1024): op -> (fw, bw) ms.
 PAPER_TABLE2_B = {
@@ -89,7 +95,7 @@ class TestSystemOrdering:
             FSMoENoIIO(),
             FSMoE(),
         ]
-        return evaluate_config(spec, cluster_b, models_b, systems)
+        return config_result(spec, cluster_b, models_b, systems)
 
     def test_fsmoe_beats_everything(self, result):
         fsmoe = result.times_ms["FSMoE"]
@@ -115,14 +121,13 @@ class TestSystemOrdering:
 
 
 class TestEndToEndModels:
-    def test_gpt2_xl_table6_band(self, cluster_b, models_b):
+    def test_gpt2_xl_table6_band(self, cluster_b, models_b, parallel_b):
         """Table 6: FSMoE 1.33-1.42x over DS-MoE on GPT2-XL, Testbed B."""
-        result = evaluate_model(
-            GPT2_XL,
-            cluster_b,
-            models_b,
-            [DeepSpeedMoE(), FSMoE()],
-            seq_len=256,
+        spec = layer_spec_for(
+            GPT2_XL, batch_size=1, seq_len=256, num_experts=parallel_b.n_ep
+        )
+        result = config_result(
+            spec, cluster_b, models_b, [DeepSpeedMoE(), FSMoE()],
             num_layers=4,
         )
         s = result.speedup("FSMoE", "DS-MoE")

@@ -3,8 +3,12 @@
 import pytest
 
 from repro import MoELayerSpec
-from repro.bench import evaluate_config, evaluate_model
-from repro.models import MIXTRAL_7B, layer_op_breakdown, profile_layer
+from repro.models import (
+    MIXTRAL_7B,
+    layer_op_breakdown,
+    layer_spec_for,
+    profile_layer,
+)
 from repro.systems import (
     DeepSpeedMoE,
     FSMoE,
@@ -12,6 +16,8 @@ from repro.systems import (
     Tutel,
     TutelImproved,
 )
+
+from .helpers import config_result
 
 #: paper Table 2, Testbed A, GPT2 layer (B=4, L=1024): op -> (fw, bw) ms.
 PAPER_TABLE2_A = {
@@ -69,7 +75,7 @@ class TestOrderingA:
         systems = [
             DeepSpeedMoE(), Tutel(), TutelImproved(), FSMoENoIIO(), FSMoE(),
         ]
-        return evaluate_config(spec, cluster_a, models_a, systems)
+        return config_result(spec, cluster_a, models_a, systems)
 
     def test_full_ranking(self, result):
         t = result.times_ms
@@ -83,13 +89,13 @@ class TestOrderingA:
 
 
 class TestMixtralEndToEndA:
-    def test_paper_fig6_shape(self, cluster_a, models_a):
-        result = evaluate_model(
-            MIXTRAL_7B,
-            cluster_a,
-            models_a,
-            [DeepSpeedMoE(), Tutel(), FSMoE()],
-            seq_len=1024,
+    def test_paper_fig6_shape(self, cluster_a, models_a, parallel_a):
+        spec = layer_spec_for(
+            MIXTRAL_7B, batch_size=1, seq_len=1024,
+            num_experts=parallel_a.n_ep,
+        )
+        result = config_result(
+            spec, cluster_a, models_a, [DeepSpeedMoE(), Tutel(), FSMoE()],
             num_layers=4,
         )
         assert result.speedup("FSMoE", "DS-MoE") > 1.25

@@ -1,13 +1,14 @@
-"""Tests for plan_many: grid fan-out, deduplication, cache replay."""
+"""Batch planning through Workspace: grid fan-out, deduplication, replay."""
 
 from __future__ import annotations
 
-import time
+from dataclasses import replace
 
 import pytest
 
+from repro import ExperimentSpec, StackSpec, Workspace
 from repro.errors import ConfigError
-from repro.planner import PlanCompiler, ProfileStore, plan_many
+from repro.planner import PlanCompiler, ProfileStore
 from repro.systems import DeepSpeedMoE, FSMoE, Tutel
 
 
@@ -25,18 +26,21 @@ def sweep_systems():
     return [DeepSpeedMoE(), Tutel(), FSMoE()]
 
 
+def grid(specs, systems=("dsmoe", "tutel", "fsmoe"), num_layers=2):
+    """Testbed B x ``specs`` x ``systems``, each spec replicated."""
+    return ExperimentSpec(
+        clusters=("B",),
+        systems=systems,
+        stacks=tuple(
+            StackSpec.of(spec, num_layers=num_layers) for spec in specs
+        ),
+    )
+
+
 class TestGrid:
-    def test_points_follow_grid_order(
-        self, cluster_b, models_b, small_spec
-    ):
+    def test_points_follow_grid_order(self, tmp_path, small_spec):
         specs = sweep_specs(small_spec)
-        result = plan_many(
-            specs,
-            sweep_systems(),
-            [cluster_b],
-            num_layers=2,
-            models_by_cluster={cluster_b: models_b},
-        )
+        result = Workspace(tmp_path).sweep(grid(specs))
         assert len(result) == 12
         names = [p.system_name for p in result.points]
         assert names == ["DS-MoE", "Tutel", "FSMoE"] * 4
@@ -44,12 +48,9 @@ class TestGrid:
         assert stacks[0] == (small_spec,) * 2
         assert all(len(stack) == 2 for stack in stacks)
 
-    def test_rows_are_tidy(self, cluster_b, models_b, small_spec):
-        result = plan_many(
-            [small_spec],
-            [Tutel()],
-            [cluster_b],
-            models_by_cluster={cluster_b: models_b},
+    def test_rows_are_tidy(self, tmp_path, cluster_b, small_spec):
+        result = Workspace(tmp_path).sweep(
+            grid([small_spec], systems=("tutel",), num_layers=1)
         )
         (row,) = result.rows()
         assert row["cluster"] == cluster_b.name
@@ -57,38 +58,38 @@ class TestGrid:
         assert row["makespan_ms"] > 0
         assert row["heterogeneous"] is False
 
-    def test_heterogeneous_stack_entry(self, cluster_b, models_b, small_spec):
-        stack = [small_spec, small_spec.with_(top_k=1)]
-        result = plan_many(
-            [stack],
-            [FSMoE()],
-            [cluster_b],
-            models_by_cluster={cluster_b: models_b},
+    def test_heterogeneous_stack_entry(self, tmp_path, small_spec):
+        stack = (small_spec, small_spec.with_(top_k=1))
+        result = Workspace(tmp_path).sweep(
+            ExperimentSpec(
+                clusters=("B",),
+                systems=("fsmoe",),
+                stacks=(StackSpec(layers=stack),),
+            )
         )
         (point,) = result.points
-        assert point.stack == tuple(stack)
+        assert point.stack == stack
         assert point.row()["heterogeneous"] is True
 
-    def test_empty_axes_rejected(self, cluster_b, models_b, small_spec):
+    def test_empty_axes_rejected(self, small_spec):
+        stacks = (StackSpec.of(small_spec),)
         with pytest.raises(ConfigError):
-            plan_many([], [Tutel()], [cluster_b])
+            ExperimentSpec(clusters=("B",), systems=("tutel",), stacks=())
         with pytest.raises(ConfigError):
-            plan_many([small_spec], [], [cluster_b])
+            ExperimentSpec(clusters=("B",), systems=(), stacks=stacks)
         with pytest.raises(ConfigError):
-            plan_many([small_spec], [Tutel()], [])
+            ExperimentSpec(clusters=(), systems=("tutel",), stacks=stacks)
         with pytest.raises(ConfigError):
-            plan_many([[]], [Tutel()], [cluster_b])
+            StackSpec(layers=())
 
-    def test_non_positive_num_layers_rejected(
-        self, cluster_b, models_b, small_spec
+    def test_non_positive_num_layers_rejected(self, small_spec):
+        with pytest.raises(ConfigError):
+            StackSpec.of(small_spec, num_layers=0)
+
+    def test_same_named_clusters_stay_distinct(
+        self, tmp_path, cluster_b, small_spec
     ):
-        with pytest.raises(ConfigError):
-            plan_many([small_spec], [Tutel()], [cluster_b], num_layers=0)
-
-    def test_same_named_clusters_stay_distinct(self, cluster_b, small_spec):
         """Regression: clusters are keyed by spec, not by display name."""
-        from dataclasses import replace
-
         slower = replace(
             cluster_b,
             inter_link=replace(
@@ -99,26 +100,22 @@ class TestGrid:
             ),
         )
         assert slower.name == cluster_b.name
-        result = plan_many(
-            [small_spec], [Tutel()], [cluster_b, slower], num_layers=2
-        )
-        fast, slow = result.points
-        assert fast.cluster is cluster_b and slow.cluster is slower
-        assert slow.makespan_ms > fast.makespan_ms
-        assert len(result.times_by_config()) == 2
+        workspace = Workspace(tmp_path)
+        stack = [small_spec] * 2
+        assert workspace.plan_digest(
+            stack, Tutel(), cluster_b
+        ) != workspace.plan_digest(stack, Tutel(), slower)
+        fast = workspace.plan(stack, Tutel(), cluster_b)
+        slow = workspace.plan(stack, Tutel(), slower)
+        assert workspace.stats.plan_misses == 2
+        assert slow.makespan_ms() > fast.makespan_ms()
 
     def test_results_match_sequential_compiler(
-        self, cluster_b, models_b, small_spec
+        self, tmp_path, cluster_b, models_b, small_spec
     ):
         """The fan-out changes wall-clock, never results."""
         specs = sweep_specs(small_spec)[:2]
-        result = plan_many(
-            specs,
-            [FSMoE()],
-            [cluster_b],
-            num_layers=2,
-            models_by_cluster={cluster_b: models_b},
-        )
+        result = Workspace(tmp_path).sweep(grid(specs, systems=("fsmoe",)))
         compiler = PlanCompiler(cluster_b, models=models_b)
         for point, spec in zip(result.points, specs):
             expected = compiler.iteration_time_ms([spec] * 2, FSMoE())
@@ -126,78 +123,45 @@ class TestGrid:
 
 
 class TestCacheBehaviour:
-    def test_sweep_deduplicates_profiling(self, cluster_b, small_spec):
+    def test_sweep_deduplicates_profiling(self, tmp_path, small_spec):
         """Acceptance: a 12-point grid profiles 1 cluster + 4 layers."""
-        store = ProfileStore()
-        result = plan_many(
-            sweep_specs(small_spec),
-            sweep_systems(),
-            [cluster_b],
-            num_layers=2,
-            store=store,
-        )
+        workspace = Workspace(tmp_path)
+        result = workspace.sweep(grid(sweep_specs(small_spec)))
         assert len(result) == 12
-        stats = store.stats
+        stats = workspace.stats.profiles
         assert stats.cluster_misses == 1
         assert stats.layer_misses == 4
         assert stats.layer_hits > 0
 
     def test_replanning_same_grid_profiles_nothing(
-        self, cluster_b, small_spec
+        self, tmp_path, small_spec
     ):
         """Acceptance: the second sweep is all cache hits."""
-        store = ProfileStore()
-        specs = sweep_specs(small_spec)
-        plan_many(specs, sweep_systems(), [cluster_b], num_layers=2,
-                  store=store)
-        before = store.stats
-        again = plan_many(specs, sweep_systems(), [cluster_b], num_layers=2,
-                          store=store)
-        delta = store.stats - before
-        assert delta.misses == 0
-        assert delta.hits >= 12  # every point still consulted the store
+        workspace = Workspace(tmp_path)
+        spec = grid(sweep_specs(small_spec))
+        workspace.sweep(spec)
+        before = workspace.stats
+        again = workspace.sweep(spec)
+        delta = workspace.stats.since(before)
+        assert delta.profiles.misses == 0
+        assert delta.plan_misses == 0
+        assert delta.plan_hits == 12
         assert len(again) == 12
 
-    def test_cached_sweep_beats_sequential_uncached(
-        self, cluster_b, small_spec
-    ):
-        """Acceptance benchmark: shared-store sweep vs per-point re-profiling.
-
-        The uncached baseline pays the online profiler (a full
-        microbenchmark sweep + least-squares fits) for every grid point;
-        the batched sweep pays it once.  The margin is large (>5x here),
-        so the timing assertion is robust to scheduler jitter.
-        """
-        specs = sweep_specs(small_spec)
-        systems = sweep_systems()
-
-        t0 = time.perf_counter()
-        plan_many(specs, systems, [cluster_b], num_layers=2,
-                  store=ProfileStore())
-        batched_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for spec in specs:
-            for system in systems:
-                fresh = PlanCompiler(cluster_b, store=ProfileStore())
-                fresh.iteration_time_ms([spec] * 2, system)
-        sequential_s = time.perf_counter() - t0
-
-        assert batched_s < sequential_s
-
     def test_cold_sweep_does_less_work_than_per_point_stores(
-        self, cluster_b, small_spec
+        self, tmp_path, cluster_b, small_spec
     ):
-        """The work behind the timing above, counted exactly.
+        """A cold shared sweep against per-point stores, counted exactly.
 
-        A cold shared store fits fewer cluster and layer profiles and
+        A cold workspace fits fewer cluster and layer profiles and
         solves fewer Algorithm-1 contexts than the per-point stores do
         between them.
         """
         specs = sweep_specs(small_spec)
         systems = sweep_systems()
-        shared = ProfileStore()
-        plan_many(specs, systems, [cluster_b], num_layers=2, store=shared)
+        workspace = Workspace(tmp_path)
+        workspace.sweep(grid(specs))
+        shared = workspace.store
 
         fresh_stores = []
         for spec in specs:

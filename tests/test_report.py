@@ -211,15 +211,14 @@ class TestRunner:
         registered(_planning_artifact("test-sum-b", "fsmoe", 3, STEP2_LAYER))
 
         def cold(workspace, config):
-            from repro import FSMoE, MoELayerSpec, get_cluster, plan_many
+            from repro import FSMoE, MoELayerSpec, PlanCompiler, get_cluster
 
-            sweep = plan_many(
-                [MoELayerSpec(**STEP2_LAYER)], [FSMoE()],
-                [get_cluster("B")], num_layers=4, max_workers=1,
+            plan = PlanCompiler(get_cluster("B")).compile(
+                [MoELayerSpec(**STEP2_LAYER)] * 4, FSMoE()
             )
             return ArtifactResult(
                 artifact="test-sum-cold",
-                outputs={"test-sum-cold.txt": f"{len(sweep)}\n"},
+                outputs={"test-sum-cold.txt": f"{len(plan.degrees)}\n"},
             )
 
         registered(Artifact(

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench import evaluate_model
-from repro.models import GPT2_XL, profile_layer
+from repro import PlanCompiler, Workspace
+from repro.models import GPT2_XL, layer_spec_for
 from repro.moe.gates import GateKind
 from repro.systems import DeepSpeedMoE, FSMoE
 from repro.systems.dsmoe import ROUTING_OVERHEAD
@@ -30,43 +30,47 @@ class TestDSMoERoutingOverhead:
 
 
 class TestEvaluateModelOverrides:
-    def test_routing_overhead_by_system(self, cluster_b, models_b):
-        plain = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [DeepSpeedMoE()],
-            seq_len=256, num_layers=2,
-        )
-        penalized = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [DeepSpeedMoE()],
-            seq_len=256, num_layers=2,
-            routing_overhead_by_system={"DS-MoE": 10.0},
-        )
-        assert penalized.times_ms["DS-MoE"] > plain.times_ms["DS-MoE"]
+    """Routing overheads and gates reach the plan through Workspace.plan."""
 
-    def test_override_only_hits_named_system(self, cluster_b, models_b):
-        result = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [DeepSpeedMoE(), FSMoE()],
-            seq_len=256, num_layers=2,
-            routing_overhead_by_system={"DS-MoE": 10.0},
+    @pytest.fixture
+    def stack(self, parallel_b):
+        spec = layer_spec_for(
+            GPT2_XL, batch_size=1, seq_len=256, num_experts=parallel_b.n_ep
         )
-        baseline = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [FSMoE()],
-            seq_len=256, num_layers=2,
-        )
-        assert result.times_ms["FSMoE"] == pytest.approx(
-            baseline.times_ms["FSMoE"]
-        )
+        return [spec] * 2
 
-    def test_gate_kind_flows_through(self, cluster_b, models_b):
-        gshard = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [FSMoE()],
-            seq_len=256, num_layers=2, gate_kind=GateKind.GSHARD,
+    def test_routing_overhead_by_system(self, tmp_path, cluster_b, stack):
+        workspace = Workspace(tmp_path)
+        plain = workspace.plan(stack, DeepSpeedMoE(), cluster_b)
+        penalized = workspace.plan(
+            stack, DeepSpeedMoE(), cluster_b, routing_overhead=10.0
         )
-        ec = evaluate_model(
-            GPT2_XL, cluster_b, models_b, [FSMoE()],
-            seq_len=256, num_layers=2, gate_kind=GateKind.EXPERT_CHOICE,
+        assert workspace.stats.plan_misses == 2
+        assert penalized.makespan_ms() > plain.makespan_ms()
+
+    def test_override_only_hits_named_system(
+        self, tmp_path, cluster_b, models_b, stack
+    ):
+        workspace = Workspace(tmp_path)
+        workspace.plan(
+            stack, DeepSpeedMoE(), cluster_b, routing_overhead=10.0
+        )
+        fsmoe = workspace.plan(stack, FSMoE(), cluster_b)
+        baseline = PlanCompiler(cluster_b, models=models_b).iteration_time_ms(
+            stack, FSMoE()
+        )
+        assert fsmoe.makespan_ms() == pytest.approx(baseline)
+
+    def test_gate_kind_flows_through(self, tmp_path, cluster_b, stack):
+        workspace = Workspace(tmp_path)
+        gshard = workspace.plan(
+            stack, FSMoE(), cluster_b, gate_kind=GateKind.GSHARD
+        )
+        ec = workspace.plan(
+            stack, FSMoE(), cluster_b, gate_kind=GateKind.EXPERT_CHOICE
         )
         # expert choice moves less data (f -> 1.0), so it is faster.
-        assert ec.times_ms["FSMoE"] < gshard.times_ms["FSMoE"]
+        assert ec.makespan_ms() < gshard.makespan_ms()
 
 
 class TestAnalyticTracksExecutedBroadly:

@@ -176,6 +176,23 @@ class TestSweepGateOverrides:
         assert row["gate_kind"] == "xmoe,expert_choice"
         assert uniform.points[0].row()["gate_kind"] == "gshard"
 
+    def test_config_results_keep_gate_only_cases_apart(self, tmp_path):
+        stacks = tuple(
+            StackSpec(
+                model="GPT2-XL", seq_len=256, num_layers=2, gates=(gate,)
+            )
+            for gate in ("gshard", "expert_choice")
+        )
+        result = Workspace(tmp_path / "ws").sweep(tiny_spec(stacks=stacks))
+        assert len(result) == 4
+        gshard, ec = result.config_results()
+        for case, points in ((gshard, result.points[:2]),
+                             (ec, result.points[2:])):
+            assert case.times_ms == {
+                point.system_name: point.makespan_ms for point in points
+            }
+        assert gshard.times_ms != ec.times_ms
+
     def test_stats_expose_solver_counters(self, tmp_path):
         ws = Workspace(tmp_path / "ws")
         ws.sweep(tiny_spec(systems=("fsmoe",)))
