@@ -96,7 +96,7 @@ with tempfile.TemporaryDirectory(prefix="repro-demo-ws-") as root:
 
     info = rerun.cache_info()
     print(f"\nworkspace layout: {info['plan_entries']} plan files "
-          f"({info['plan_bytes']} bytes) + profiles.json "
-          f"({info['profile_entries']} entries)")
+          f"({info['plan_bytes']} bytes) + {info['profile_files']} "
+          f"profile files under profiles/")
     print("CLI equivalent:  python -m repro sweep spec.json "
           f"--workspace {root} --expect-warm")

@@ -3,10 +3,10 @@
 A :class:`Workspace` is the library's front door.  It owns
 
 * a **persistent** :class:`~repro.planner.store.ProfileStore` -- every
-  cluster and layer profile fitted through the workspace is written to
-  ``<root>/profiles.json`` (versioned, atomic writes, corruption
-  tolerated by quarantining the bad file) and preloaded on the next
-  open, so a second process re-fits nothing;
+  cluster and layer profile fitted through the workspace is written
+  once, to its own content-addressed file ``<root>/profiles/<digest>.json``
+  (versioned, atomic writes, a corrupt file costs only its own entry)
+  and preloaded on the next open, so a second process re-fits nothing;
 * a **content-addressed plan cache** -- every compiled
   :class:`~repro.planner.plan.IterationPlan` lands in
   ``<root>/plans/<digest>.json``, keyed on the full plan identity
@@ -20,7 +20,7 @@ assertion, not a hope.
 
 Lookups route through a tier stack (:mod:`repro.cache`): **L1**, a
 per-process in-memory LRU bounded by entries and approximate bytes;
-**L2**, the on-disk layout below (format unchanged); and optionally
+**L2**, the on-disk layout below; and optionally
 **L3**, a shared remote cache server (``REPRO_CACHE_REMOTE=host:port``
 or the ``remote=`` constructor argument), so a fleet of processes warms
 each other.  Misses fall through tier by tier, hits fill the tiers
@@ -30,14 +30,16 @@ is counted per tier in :attr:`WorkspaceStats.cache`.
 On-disk layout::
 
     <root>/
-      profiles.json          # schema_version + exported ProfileStore
+      profiles/
+        <digest>.json        # schema_version + key + one fitted profile
       plans/
         <digest>.json        # schema_version + key + serialized plan
 
 Schema-version mismatches are *refused* (a newer library must not
 silently misread an older cache -- run ``python -m repro cache clear``);
-truncated or otherwise unparsable files are *recovered from* (renamed to
-``*.corrupt`` and treated as empty).
+unparsable files, and profile files whose key does not digest to their
+name, are *recovered from* (renamed to ``*.corrupt``; only that entry is
+refitted).  A legacy ``profiles.json`` is not read.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .spec import ExperimentSpec
 if TYPE_CHECKING:  # imported lazily at runtime: serve sits above api
     from ..serve.stats import ServiceStats
 
-#: current on-disk format of profiles.json and plans/*.json.
+#: current format of profiles/*.json and plans/*.json (and of L3 documents).
 WORKSPACE_SCHEMA_VERSION = 1
 
 
@@ -250,10 +252,60 @@ def _resolve_tracer(
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (same-directory temp file)."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    """Write ``text`` to ``path`` atomically.
+
+    The same-directory temp file is named per process and thread, so
+    concurrent writers of one path never share one.
+    """
+    tmp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _profile_document(full_key: tuple, value: object) -> tuple[str, str]:
+    """``(digest, JSON text)`` of one profile's document.
+
+    The same document is the disk file ``profiles/<digest>.json`` and
+    the shared tier's entry under ``<digest>``.
+    """
+    key = encode(("profile", full_key))
+    text = json.dumps(
+        {
+            "schema_version": WORKSPACE_SCHEMA_VERSION,
+            "key": key,
+            "value": encode(value),
+        }
+    )
+    return digest(key), text
+
+
+def _parse_profile_document(text: str, dig: str) -> tuple[tuple, object]:
+    """Inverse of :func:`_profile_document`: ``(full_key, value)``.
+
+    Raises:
+        WorkspaceError: for a document of another schema version.
+        ValueError: for an unparsable or undecodable document, or one
+            whose key does not digest to ``dig``.
+    """
+    try:
+        data = json.loads(text)
+        version = data["schema_version"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"unparsable profile document: {exc}") from None
+    if version != WORKSPACE_SCHEMA_VERSION:
+        raise WorkspaceError(
+            f"written with schema version {version!r}; this build reads "
+            f"version {WORKSPACE_SCHEMA_VERSION}."
+        )
+    try:
+        if digest(data["key"]) != dig:
+            raise ValueError("key does not match its digest")
+        _, full_key = decode(data["key"])
+        return full_key, decode(data["value"])
+    except (KeyError, TypeError, ValueError, WorkspaceError) as exc:
+        raise ValueError(f"undecodable profile document: {exc}") from None
 
 
 def _quarantine(path: Path) -> None:
@@ -300,9 +352,9 @@ class Workspace:
     Args:
         root: directory holding the caches (created if missing).
         autosave: persist new profiles after each cache-missing
-            :meth:`plan` call (sweeps batch the save regardless).
+            :meth:`plan` call (False: only on an explicit :meth:`save`).
         lock_timeout_s: bound on waiting for another *process*'s
-            advisory lock (profile saves, in-flight plan compiles).
+            advisory lock on an in-flight plan compile.
         l1_entries: entry bound of the in-memory plan tier; ``0``
             disables L1 entirely (every lookup goes to disk), None
             means the default bound.
@@ -325,12 +377,13 @@ class Workspace:
             forces tracing off.  See :attr:`tracer` and
             ``docs/OBSERVABILITY.md``.
 
-    Concurrent processes may share one root: profile saves merge with
-    the on-disk entries under an advisory file lock
-    (``<root>/.workspace.lock``) instead of overwriting each other, and
-    plan compiles single-flight across processes through per-digest
-    locks (``plans/<digest>.lock``) -- the second process blocks briefly
-    and then loads the first one's plan from disk.
+    Concurrent processes may share one root: each profile is its own
+    content-addressed file, written atomically and never rewritten, so
+    processes union their profiles without a lock (two writers of one
+    file write identical bytes), and plan compiles single-flight across
+    processes through per-digest locks (``plans/<digest>.lock``) -- the
+    second process blocks briefly and then loads the first one's plan
+    from disk.
 
     Raises:
         WorkspaceError: when an existing cache was written by a
@@ -351,6 +404,8 @@ class Workspace:
         self.root = Path(root).expanduser()
         self.plans_dir = self.root / "plans"
         self.plans_dir.mkdir(parents=True, exist_ok=True)
+        self.profiles_dir = self.root / "profiles"
+        self.profiles_dir.mkdir(exist_ok=True)
         self._autosave = autosave
         self._lock_timeout_s = lock_timeout_s
         self._io_lock = threading.Lock()
@@ -358,7 +413,7 @@ class Workspace:
         self._plan_futures: dict[str, Future] = {}
         self._plan_hits = 0
         self._plan_misses = 0
-        self._defer_save = False
+        self._saved: set[tuple] = set()  # full keys already on disk
         self._service_stats: Callable[[], "ServiceStats"] | None = None
         if l1_entries is None:
             l1_entries = DEFAULT_MAX_ENTRIES
@@ -383,56 +438,30 @@ class Workspace:
 
     # -- persistence ---------------------------------------------------------
 
-    @property
-    def profiles_path(self) -> Path:
-        """Location of the persisted profile store."""
-        return self.root / "profiles.json"
-
-    @staticmethod
-    def _decode_entries(data: dict) -> dict[object, object]:
-        entries: dict[object, object] = {}
-        for entry in data.get("entries", ()):
-            try:
-                key = decode(entry["k"])
-                value = decode(entry["v"])
-            except (WorkspaceError, KeyError, TypeError, ValueError):
-                # A single undecodable entry (e.g. written by a build with
-                # extra registered types) must not poison the rest.
-                continue
-            entries[key] = value
-        return entries
-
-    def _read_profiles_file(self) -> dict | None:
-        """Parse ``profiles.json``; quarantine unreadable files.
+    def _load_profiles(self) -> None:
+        """Preload every profile file; quarantine the unreadable ones.
 
         Raises:
             WorkspaceError: for a schema-version mismatch.
         """
-        path = self.profiles_path
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            _quarantine(path)
-            return None
-        if not isinstance(data, dict) or "schema_version" not in data:
-            _quarantine(path)
-            return None
-        version = data["schema_version"]
-        if version != WORKSPACE_SCHEMA_VERSION:
-            raise WorkspaceError(
-                f"workspace {self.root} was written with schema version "
-                f"{version!r}; this build reads version "
-                f"{WORKSPACE_SCHEMA_VERSION}.  Run `python -m repro cache "
-                f"clear --workspace {self.root}` to discard it."
-            )
-        return data
-
-    def _load_profiles(self) -> None:
-        data = self._read_profiles_file()
-        if data is not None:
-            self.store.preload(self._decode_entries(data))
+        entries: dict[tuple, object] = {}
+        for path in sorted(self.profiles_dir.glob("*.json")):
+            try:
+                full_key, value = _parse_profile_document(
+                    path.read_text(), path.stem
+                )
+            except (OSError, ValueError):
+                _quarantine(path)
+                continue
+            except WorkspaceError as exc:
+                raise WorkspaceError(
+                    f"profile cache file {path}: {exc}  Run `python -m "
+                    f"repro cache clear --workspace {self.root}` to "
+                    f"discard it."
+                ) from None
+            entries[full_key] = value
+        self.store.preload(entries)
+        self._saved = set(entries)
 
     def _bind_store_remote(self) -> None:
         """Route the profile store through the shared tier, if configured."""
@@ -449,45 +478,29 @@ class Workspace:
         refused (treated as a miss), never returned.
         """
         try:
-            key_obj = encode(("profile", full_key))
-            text = self._remote.get(digest(key_obj))
+            dig = digest(encode(("profile", full_key)))
+            text = self._remote.get(dig)
+            value = (
+                _parse_profile_document(text, dig)[1]
+                if text is not None
+                else None
+            )
         except Exception:  # noqa: BLE001 - tier must never raise
             with self._counter_lock:
                 self._prc.errors += 1
                 self._prc.misses += 1
             return None
-        if text is None:
-            with self._counter_lock:
-                self._prc.misses += 1
-            return None
-        try:
-            data = json.loads(text)
-            if data["schema_version"] != WORKSPACE_SCHEMA_VERSION:
-                raise ValueError("cross-version remote profile")
-            if canonical_json(data["key"]) != canonical_json(key_obj):
-                raise ValueError("remote profile key mismatch")
-            value = decode(data["value"])
-        except Exception:  # noqa: BLE001 - refuse, don't misread
-            with self._counter_lock:
-                self._prc.errors += 1
-                self._prc.misses += 1
-            return None
         with self._counter_lock:
-            self._prc.hits += 1
+            if text is None:
+                self._prc.misses += 1
+            else:
+                self._prc.hits += 1
         return value
 
     def _remote_profile_publish(self, full_key: tuple, value: object) -> None:
         """Publish one freshly fitted profile to the shared tier."""
         try:
-            key_obj = encode(("profile", full_key))
-            payload = json.dumps(
-                {
-                    "schema_version": WORKSPACE_SCHEMA_VERSION,
-                    "key": key_obj,
-                    "value": encode(value),
-                }
-            )
-            stored = self._remote.put(digest(key_obj), payload)
+            stored = self._remote.put(*_profile_document(full_key, value))
         except Exception:  # noqa: BLE001 - tier must never raise
             stored = False
         with self._counter_lock:
@@ -496,34 +509,22 @@ class Workspace:
             else:
                 self._prc.errors += 1
 
-    def _workspace_lock(self) -> FileLock:
-        return FileLock(
-            self.root / ".workspace.lock", timeout_s=self._lock_timeout_s
-        )
-
     def save(self) -> None:
-        """Persist every settled profile-store entry (atomic rewrite).
+        """Write every settled profile that is not on disk yet.
 
-        Runs under the workspace's inter-process lock and *merges* with
-        whatever is on disk first, so concurrent processes sharing this
-        root union their profiles instead of losing each other's writes
-        (this session's entries win any key collision, though collisions
-        are value-identical by construction: profiling is deterministic
-        in its key).
+        Each profile is its own content-addressed file, written once and
+        atomically; nothing on disk is read, merged or rewritten, so the
+        cost is what changed since the last save.  Processes sharing
+        this root union their profiles by construction: concurrent
+        writers of one file write identical bytes (profiling is
+        deterministic in its key).
         """
-        with self._io_lock, self._workspace_lock():
-            data = self._read_profiles_file()
-            merged = self._decode_entries(data) if data is not None else {}
-            merged.update(self.store.entries())
-            entries = [
-                {"k": encode(key), "v": encode(value)}
-                for key, value in merged.items()
-            ]
-            payload = {
-                "schema_version": WORKSPACE_SCHEMA_VERSION,
-                "entries": entries,
-            }
-            _atomic_write(self.profiles_path, json.dumps(payload))
+        with self._io_lock:
+            for full_key, value in self.store.entries().items():
+                if full_key not in self._saved:
+                    dig, text = _profile_document(full_key, value)
+                    _atomic_write(self.profiles_dir / f"{dig}.json", text)
+                    self._saved.add(full_key)
 
     # -- stats ---------------------------------------------------------------
 
@@ -583,7 +584,8 @@ class Workspace:
         plan_files = sorted(self.plans_dir.glob("*.json"))
         return {
             "root": str(self.root),
-            "profiles_path": str(self.profiles_path),
+            "profile_dir": str(self.profiles_dir),
+            "profile_files": len(list(self.profiles_dir.glob("*.json"))),
             "profile_entries": len(self.store),
             "plan_dir": str(self.plans_dir),
             "plan_entries": len(plan_files),
@@ -602,6 +604,7 @@ class Workspace:
         """
         with self._io_lock:
             self.discard(self.root)
+            self._saved = set()
         if self._l1 is not None:
             self._l1.clear(reset_stats=True)
         with self._counter_lock:
@@ -621,19 +624,17 @@ class Workspace:
         it also recovers workspaces a plain open would *refuse* (schema
         written by another library version) -- it is what ``python -m
         repro cache clear`` runs.  Quarantined ``*.corrupt`` files are
-        removed as well.
+        removed as well, and so is a legacy ``profiles.json``.
 
         Returns:
             Count of profile and plan files removed.
         """
         root = Path(root).expanduser()
         removed = {"profiles": 0, "plans": 0}
-        for path in root.glob("profiles.json*"):
-            path.unlink(missing_ok=True)
-            removed["profiles"] += 1
-        # .workspace.lock is deliberately left in place: unlinking it
-        # while another process holds or awaits its flock would split the
-        # lock and reopen the lost-update race merge-save exists to close.
+        for pattern in ("profiles/*.json*", "profiles.json*"):
+            for path in root.glob(pattern):
+                path.unlink(missing_ok=True)
+                removed["profiles"] += 1
         plans_dir = root / "plans"
         if plans_dir.is_dir():
             for path in plans_dir.glob("*.json*"):
@@ -898,8 +899,7 @@ class Workspace:
             return None
         with self._counter_lock:
             self._l3c.hits += 1
-        with self._io_lock:
-            _atomic_write(path, text)
+        _atomic_write(path, text)
         with self._counter_lock:
             self._l2c.fills += 1
         self._fill_l1(dig, plan, len(text))
@@ -1150,8 +1150,7 @@ class Workspace:
                         )
                         # Write-through: disk, then memory, then (best
                         # effort) the shared tier.
-                        with self._io_lock:
-                            _atomic_write(path, payload)
+                        _atomic_write(path, payload)
                         with self._counter_lock:
                             self._l2c.writes += 1
                         if self._l1 is not None:
@@ -1165,7 +1164,7 @@ class Workspace:
                                     self._l3c.writes += 1
                                 else:
                                     self._l3c.errors += 1
-                if self._autosave and not self._defer_save:
+                if self._autosave:
                     self.save()
         except BaseException as exc:
             with self._counter_lock:
@@ -1260,7 +1259,6 @@ class Workspace:
         if max_workers is None:
             max_workers = min(len(grid), os.cpu_count() or 1)
         max_workers = max(1, max_workers)
-        self._defer_save = True
         try:
             if max_workers == 1:
                 points = tuple(run_point(point) for point in grid)
@@ -1268,9 +1266,6 @@ class Workspace:
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     points = tuple(pool.map(run_point, grid))
         finally:
-            self._defer_save = False
             if sweep_span is not None:
                 sweep_span.end()
-        if self._autosave:
-            self.save()
         return ExperimentResult(spec=spec, points=points)

@@ -4,9 +4,10 @@ The workspace answers every plan/profile lookup through a tier stack:
 
 * **L1** -- :class:`LRUCache`, per-process, bounded by entries and
   approximate bytes, lock-free reads (:mod:`repro.cache.lru`).
-* **L2** -- the existing on-disk layout (``plans/<digest>.json`` +
-  ``profiles.json``), format unchanged, still guarded by the
-  ``FileLock``/single-flight machinery in :mod:`repro.api.workspace`.
+* **L2** -- the workspace's on-disk layout: one content-addressed file
+  per plan (``plans/<digest>.json``, compiled under the per-digest
+  ``FileLock`` single-flight of :mod:`repro.api.workspace`) and per
+  profile (``profiles/<digest>.json``, written once, lock-free).
 * **L3** -- optionally, a shared :class:`CacheServer` reached through
   :class:`RemoteTier`, so a fleet of processes warms each other
   (:mod:`repro.cache.remote`).

@@ -243,7 +243,7 @@ class TestBenchAndCache:
         ws = str(tmp_path / "ws")
         main(["sweep", str(spec_file), "--workspace", ws])
         capsys.readouterr()
-        profiles = tmp_path / "ws" / "profiles.json"
+        profiles = next((tmp_path / "ws" / "profiles").glob("*.json"))
         payload = json.loads(profiles.read_text())
         payload["schema_version"] = 999
         profiles.write_text(json.dumps(payload))

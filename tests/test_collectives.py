@@ -3,14 +3,16 @@
 import pytest
 
 from repro.errors import TopologyError
+from repro.parallel import topology
 from repro.parallel.collectives import A2AAlgorithm, CollectiveCostModel
-from repro.parallel.topology import testbed_a, testbed_b
 from repro.units import MB
 
 
 @pytest.fixture(params=["A", "B"], name="oracle")
 def oracle_fixture(request):
-    cluster = testbed_a() if request.param == "A" else testbed_b()
+    cluster = (
+        topology.testbed_a() if request.param == "A" else topology.testbed_b()
+    )
     return CollectiveCostModel(cluster)
 
 
@@ -62,14 +64,14 @@ class TestBasics:
 
 class TestNICSharing:
     def test_default_share_is_node_width(self):
-        cluster = testbed_b()
+        cluster = topology.testbed_b()
         shared = CollectiveCostModel(cluster)
         exclusive = CollectiveCostModel(cluster, nic_concurrency=1)
         assert shared.alltoall_ms(MB, 8) > exclusive.alltoall_ms(MB, 8)
 
     def test_rejects_bad_concurrency(self):
         with pytest.raises(TopologyError):
-            CollectiveCostModel(testbed_b(), nic_concurrency=0)
+            CollectiveCostModel(topology.testbed_b(), nic_concurrency=0)
 
 
 class TestA2AAlgorithms:
@@ -83,7 +85,7 @@ class TestA2AAlgorithms:
         assert two_d > direct
 
     def test_efficiency_slows_a2a(self):
-        fast = testbed_b()
+        fast = topology.testbed_b()
         slow = CollectiveCostModel(
             type(fast)(
                 name=fast.name,

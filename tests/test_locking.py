@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import FileLock, LockTimeout, MoELayerSpec, Workspace
+from repro.api.codec import digest
 from repro.api.workspace import WORKSPACE_SCHEMA_VERSION
 
 SRC = Path(__file__).parent.parent / "src"
@@ -131,9 +132,12 @@ class TestMultiProcessWorkspace:
             assert proc.returncode == 0, err
             assert out.strip() == "ok"
 
-        # profiles.json is valid, versioned, and holds the union
-        data = json.loads((root / "profiles.json").read_text())
-        assert data["schema_version"] == WORKSPACE_SCHEMA_VERSION
+        # every profile file is valid, versioned, and named by its key;
+        # together they hold the union
+        for path in (root / "profiles").glob("*.json"):
+            data = json.loads(path.read_text())
+            assert data["schema_version"] == WORKSPACE_SCHEMA_VERSION
+            assert digest(data["key"]) == path.stem
         reopened = Workspace(root)
         # 1 shared + workers * rounds unique layer profiles, plus the
         # cluster profile entry
@@ -146,9 +150,9 @@ class TestMultiProcessWorkspace:
             plan_doc = json.loads(path.read_text())
             assert plan_doc["schema_version"] == WORKSPACE_SCHEMA_VERSION
             assert "plan" in plan_doc and "key" in plan_doc
-        # no quarantined or temporary leftovers anywhere
-        assert list(root.glob("*.corrupt")) == []
-        assert [p for p in root.iterdir() if p.name.startswith(".tmp")] == []
+        # no quarantined, temporary or workspace-lock leftovers anywhere
+        assert list(root.glob("**/*.corrupt")) == []
+        assert [p for p in root.glob("**/*") if p.name.startswith(".")] == []
 
         # a warm reopen plans everything from cache
         spec = MoELayerSpec(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from repro import (
     WorkspaceError,
 )
 from repro import testbed_b as make_testbed_b
+from repro.api import workspace as workspace_module
+from repro.api.codec import digest
 from repro.api.workspace import WORKSPACE_SCHEMA_VERSION
 
 SRC = Path(__file__).parent.parent / "src"
@@ -58,7 +61,8 @@ class TestWorkspaceBasics:
         stats = ws.stats
         assert stats.plan_misses == 2 and stats.plan_hits == 0
         assert stats.profiles.misses > 0
-        assert (tmp_path / "ws" / "profiles.json").exists()
+        profile_files = list((tmp_path / "ws" / "profiles").glob("*.json"))
+        assert len(profile_files) == stats.profiles.misses
         assert len(list((tmp_path / "ws" / "plans").glob("*.json"))) == 2
 
     def test_same_session_rerun_hits_plan_cache(self, tmp_path):
@@ -139,7 +143,7 @@ class TestWorkspaceBasics:
         ws.sweep(tiny_spec())
         ws.clear()
         assert ws.cache_info()["plan_entries"] == 0
-        assert not (root / "profiles.json").exists()
+        assert list((root / "profiles").glob("*.json")) == []
         assert ws.stats.plan_hits == ws.stats.plan_misses == 0
         # planning again recompiles from scratch
         ws.sweep(tiny_spec())
@@ -291,9 +295,10 @@ class TestWorkspacePersistenceEdges:
     def test_schema_version_mismatch_is_refused(self, tmp_path):
         root = tmp_path / "ws"
         Workspace(root).sweep(tiny_spec())
-        payload = json.loads((root / "profiles.json").read_text())
+        profile_file = next((root / "profiles").glob("*.json"))
+        payload = json.loads(profile_file.read_text())
         payload["schema_version"] = WORKSPACE_SCHEMA_VERSION + 1
-        (root / "profiles.json").write_text(json.dumps(payload))
+        profile_file.write_text(json.dumps(payload))
         with pytest.raises(WorkspaceError, match="schema version"):
             Workspace(root)
 
@@ -312,12 +317,16 @@ class TestWorkspacePersistenceEdges:
     def test_truncated_profiles_file_recovers(self, tmp_path):
         root = tmp_path / "ws"
         Workspace(root).sweep(tiny_spec())
-        text = (root / "profiles.json").read_text()
-        (root / "profiles.json").write_text(text[: len(text) // 2])
+        profile_files = sorted((root / "profiles").glob("*.json"))
+        for path in profile_files:
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
         with pytest.warns(UserWarning, match="unreadable"):
             ws = Workspace(root)
         # quarantined, not deleted; session still fully usable
-        assert (root / "profiles.json.corrupt").exists()
+        for path in profile_files:
+            assert path.with_name(path.name + ".corrupt").exists()
+        assert len(ws.store) == 0
         ws.sweep(tiny_spec())
         assert ws.stats.plan_hits == 2  # plan cache survived unharmed
         # an uncached variant must re-profile: the store really was lost
@@ -342,11 +351,20 @@ class TestWorkspacePersistenceEdges:
     def test_undecodable_profile_entries_are_skipped(self, tmp_path):
         root = tmp_path / "ws"
         Workspace(root).sweep(tiny_spec())
-        payload = json.loads((root / "profiles.json").read_text())
-        payload["entries"].append({"k": {"__dc__": "FutureType", "f": {}},
-                                  "v": None})
-        (root / "profiles.json").write_text(json.dumps(payload))
-        ws = Workspace(root)  # must not raise
+        good = len(list((root / "profiles").glob("*.json")))
+        key = {"__dc__": "FutureType", "f": {}}
+        (root / "profiles" / f"{digest(key)}.json").write_text(
+            json.dumps(
+                {
+                    "schema_version": WORKSPACE_SCHEMA_VERSION,
+                    "key": key,
+                    "value": None,
+                }
+            )
+        )
+        with pytest.warns(UserWarning, match="unreadable"):
+            ws = Workspace(root)  # must not raise
+        assert len(ws.store) == good  # every other entry still loaded
         ws.sweep(tiny_spec())
         assert ws.stats.plan_hits == 2
 
@@ -359,11 +377,16 @@ class TestWorkspacePersistenceEdges:
     def test_discard_works_without_opening(self, tmp_path):
         root = tmp_path / "ws"
         Workspace(root).sweep(tiny_spec())
-        payload = json.loads((root / "profiles.json").read_text())
+        profile_files = list((root / "profiles").glob("*.json"))
+        payload = json.loads(profile_files[0].read_text())
         payload["schema_version"] = 999
-        (root / "profiles.json").write_text(json.dumps(payload))
+        profile_files[0].write_text(json.dumps(payload))
+        # a legacy single-file store is discarded alongside
+        (root / "profiles.json").write_text("{}")
         removed = Workspace.discard(root)
-        assert removed["profiles"] == 1 and removed["plans"] == 2
+        assert removed["profiles"] == len(profile_files) + 1
+        assert removed["plans"] == 2
+        assert not (root / "profiles.json").exists()
         # and the workspace opens cleanly again
         ws = Workspace(root)
         ws.sweep(tiny_spec())
@@ -374,11 +397,152 @@ class TestWorkspacePersistenceEdges:
         ws = Workspace(root)
         ws.sweep(tiny_spec())
         ws.save()
-        # the persistent advisory lock file is deliberate; anything else
-        # hidden would be a leaked temp file from a non-atomic write
+        # anything hidden would be a leaked temp file from a non-atomic
+        # write (profile saves take no workspace-wide lock file at all)
         leftovers = [
             p
-            for p in root.iterdir()
-            if p.name.startswith(".") and p.name != ".workspace.lock"
+            for directory in (root, root / "profiles", root / "plans")
+            for p in directory.iterdir()
+            if p.name.startswith(".")
         ]
         assert leftovers == []
+
+
+def _layer(seq_len: int) -> MoELayerSpec:
+    return MoELayerSpec(
+        batch_size=1, seq_len=seq_len, embed_dim=512, num_experts=8,
+        num_heads=8,
+    )
+
+
+class TestProfileFiles:
+    """One content-addressed file per profile, each written exactly once."""
+
+    @staticmethod
+    def _record_writes(monkeypatch) -> list[tuple[Path, int]]:
+        writes: list[tuple[Path, int]] = []
+        real = workspace_module._atomic_write
+
+        def recording(path: Path, text: str) -> None:
+            writes.append((path, len(text.encode())))
+            real(path, text)
+
+        monkeypatch.setattr(workspace_module, "_atomic_write", recording)
+        return writes
+
+    def test_save_writes_only_new_profiles(self, tmp_path, monkeypatch):
+        writes = self._record_writes(monkeypatch)
+        root = tmp_path / "ws"
+        profiles = root / "profiles"
+        cluster = make_testbed_b()
+        a, b, c = _layer(256), _layer(384), _layer(512)
+
+        ws = Workspace(root)
+        ws.plan([a, b], Tutel(), cluster)
+        first = [path for path, _ in writes if path.parent == profiles]
+        assert len(first) == len(set(first)) == ws.stats.profiles.misses
+        assert sorted(first) == sorted(profiles.glob("*.json"))
+        before = {
+            path: (path.stat().st_ino, path.stat().st_mtime_ns)
+            for path in first
+        }
+
+        # shares the cluster profile and layer a, fits layer c only
+        writes.clear()
+        fitted = ws.stats.profiles
+        ws.plan([a, c], Tutel(), cluster)
+        delta = ws.stats.profiles - fitted
+        assert delta.cluster_misses == 0 and delta.layer_misses == 1
+        second = [(p, size) for p, size in writes if p.parent == profiles]
+        assert len(second) == 1
+        (path, size), = second
+        assert path not in before
+        assert size == path.stat().st_size
+        for other, identity in before.items():
+            assert (other.stat().st_ino, other.stat().st_mtime_ns) == identity
+
+        writes.clear()
+        warm = Workspace(root)
+        warm.plan([a, b], Tutel(), cluster)
+        warm.plan([a, c], Tutel(), cluster)
+        warm.save()
+        assert warm.stats.warm
+        assert [p for p, _ in writes if p.parent == profiles] == []
+        assert not (root / ".workspace.lock").exists()
+
+    def test_autosave_off_writes_nothing_until_save(self, tmp_path):
+        root = tmp_path / "ws"
+        ws = Workspace(root, autosave=False)
+        ws.plan(_layer(256), Tutel(), make_testbed_b())
+        assert list((root / "profiles").glob("*.json")) == []
+        ws.save()
+        assert len(list((root / "profiles").glob("*.json"))) == len(ws.store)
+
+    def test_corrupt_and_misnamed_files_cost_only_their_entries(
+        self, tmp_path
+    ):
+        root = tmp_path / "ws"
+        spec = tiny_spec(
+            stacks=(StackSpec(layers=(_layer(256), _layer(384), _layer(512))),)
+        )
+        Workspace(root).sweep(spec)
+        files = sorted((root / "profiles").glob("*.json"))
+        assert len(files) == 4  # the cluster profile and three layers
+        corrupt, misnamed = files[0], files[1]
+        corrupt.write_text(corrupt.read_text()[:40])
+        payload = json.loads(misnamed.read_text())
+        payload["key"] = json.loads(files[2].read_text())["key"]
+        misnamed.write_text(json.dumps(payload))
+
+        with pytest.warns(UserWarning, match="unreadable"):
+            ws = Workspace(root)
+        assert len(ws.store) == len(files) - 2
+        for path in (corrupt, misnamed):
+            assert not path.exists()
+            assert path.with_name(path.name + ".corrupt").exists()
+
+        # recompiling the plans refits exactly the two lost entries
+        for plan_file in (root / "plans").glob("*.json"):
+            plan_file.unlink()
+        ws.sweep(spec)
+        assert ws.stats.profiles.misses == 2
+        assert sorted((root / "profiles").glob("*.json")) == files
+
+    def test_legacy_profiles_file_is_not_read(self, tmp_path):
+        root = tmp_path / "ws"
+        root.mkdir()
+        (root / "profiles.json").write_text("not json")
+        ws = Workspace(root)  # neither refused nor quarantined
+        assert len(ws.store) == 0
+        assert (root / "profiles.json").exists()
+
+
+def test_atomic_write_is_safe_across_threads(tmp_path):
+    """Two threads replacing one path never share a temp file."""
+    path = tmp_path / "doc.json"
+    rounds = 200
+    barrier = threading.Barrier(2)
+    errors: list[BaseException] = []
+
+    def writer(tag: int) -> None:
+        try:
+            for round_ in range(rounds):
+                barrier.wait()
+                workspace_module._atomic_write(
+                    path,
+                    json.dumps(
+                        {"writer": tag, "round": round_, "pad": "x" * 4096}
+                    ),
+                )
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert json.loads(path.read_text())["round"] == rounds - 1
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
