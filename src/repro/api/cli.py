@@ -742,7 +742,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_metrics(args) -> int:
     """Print exact counters as Prometheus exposition (or JSON)."""
-    from ..obs import render_json, render_prometheus, workspace_metrics
+    from ..obs import render_json, render_prometheus, stats_samples
 
     if args.remote is not None and args.workspace is None:
         # Scrape a running `cache serve` over its own line protocol;
@@ -778,7 +778,7 @@ def _cmd_metrics(args) -> int:
             # live numbers, not the zeros of a fresh open.
             spec = ExperimentSpec.from_file(args.spec)
             workspace.sweep(spec, max_workers=1)
-        samples = workspace_metrics(workspace.stats).snapshot()
+        samples = stats_samples(workspace.stats, "repro.workspace.")
         if args.json:
             print(render_json(samples))
         else:

@@ -69,6 +69,7 @@ from ..core.pipeline_degree import DEFAULT_MAX_DEGREE
 from ..errors import ConfigError, WorkspaceError
 from ..locking import FileLock
 from ..moe.gates import GateKind
+from ..obs.metrics import CounterCell, Stats, nested
 from ..obs.trace import Tracer
 from ..parallel.topology import ClusterSpec
 from ..planner.compiler import PlanCompiler
@@ -86,7 +87,7 @@ WORKSPACE_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class WorkspaceStats:
+class WorkspaceStats(Stats):
     """Cache counters for one workspace session.
 
     Attributes:
@@ -102,37 +103,29 @@ class WorkspaceStats:
         cache: exact per-tier counters (L1 memory / L2 disk / L3
             remote, plus the profile store's remote traffic) behind the
             ``plan_hits``/``plan_misses`` totals above.
+
+    The report runner snapshots :attr:`Workspace.stats` around each
+    artifact and attributes the window (``later.since(earlier)``:
+    profiles fitted, plans compiled, degree solves) to it.  ``service``
+    is carried from the later snapshot: service counters are cumulative
+    per service, not windowable here.  Exported under
+    ``repro.workspace.*`` with the nested families under their own
+    prefixes.
     """
 
-    profiles: StoreStats
+    profiles: StoreStats = nested(prefix="repro.workspace.profile_")
     plan_hits: int = 0
     plan_misses: int = 0
-    solver: SolverStats = SolverStats()
-    service: "ServiceStats | None" = None
-    cache: CacheStats = CacheStats()
+    solver: SolverStats = nested(SolverStats(), prefix="repro.solver.")
+    service: "ServiceStats | None" = nested(
+        None, prefix="repro.serve.", carried=True
+    )
+    cache: CacheStats = nested(CacheStats(), prefix="repro.cache.")
 
     @property
     def warm(self) -> bool:
         """True when this session computed nothing new at all."""
         return self.profiles.misses == 0 and self.plan_misses == 0
-
-    def since(self, earlier: "WorkspaceStats") -> "WorkspaceStats":
-        """Counter delta between two snapshots of one session.
-
-        The report runner snapshots :attr:`Workspace.stats` around each
-        artifact and attributes the windowed counters (profiles fitted,
-        plans compiled, degree solves) to it.  ``service`` is carried
-        from the later snapshot: service counters are cumulative
-        per-service, not windowable here.
-        """
-        return WorkspaceStats(
-            profiles=self.profiles - earlier.profiles,
-            plan_hits=self.plan_hits - earlier.plan_hits,
-            plan_misses=self.plan_misses - earlier.plan_misses,
-            solver=self.solver - earlier.solver,
-            service=self.service,
-            cache=self.cache - earlier.cache,
-        )
 
 
 @dataclass(frozen=True)
@@ -322,30 +315,6 @@ def _quarantine(path: Path) -> None:
     )
 
 
-class _TierCounters:
-    """One tier's mutable counter cell (guarded by the counter lock)."""
-
-    __slots__ = ("hits", "misses", "fills", "writes", "errors")
-
-    def __init__(self) -> None:
-        self.hits = self.misses = self.fills = self.writes = 0
-        self.errors = 0
-
-    def reset(self) -> None:
-        """Zero every counter (workspace ``clear``)."""
-        self.__init__()
-
-    def snapshot(self) -> TierStats:
-        """Freeze the current counts into a :class:`TierStats`."""
-        return TierStats(
-            hits=self.hits,
-            misses=self.misses,
-            fills=self.fills,
-            writes=self.writes,
-            errors=self.errors,
-        )
-
-
 class Workspace:
     """A disk-rooted session over the planner: open, plan, re-run warm.
 
@@ -409,10 +378,11 @@ class Workspace:
         self._autosave = autosave
         self._lock_timeout_s = lock_timeout_s
         self._io_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
+        # One reentrant lock guards the in-flight map and every counter
+        # cell, so a stats snapshot is consistent across them.
+        self._counter_lock = threading.RLock()
         self._plan_futures: dict[str, Future] = {}
-        self._plan_hits = 0
-        self._plan_misses = 0
+        self._plan_counts = CounterCell(WorkspaceStats, self._counter_lock)
         self._saved: set[tuple] = set()  # full keys already on disk
         self._service_stats: Callable[[], "ServiceStats"] | None = None
         if l1_entries is None:
@@ -428,10 +398,11 @@ class Workspace:
             RemoteTier(remote) if remote else None
         )
         self._tracer: Tracer | None = _resolve_tracer(trace, self.root)
-        self._l1c = _TierCounters()  # fills/writes only; rest from LRU
-        self._l2c = _TierCounters()
-        self._l3c = _TierCounters()
-        self._prc = _TierCounters()  # profile store's remote traffic
+        # L1 counts only fills/writes here (the rest come from the LRU);
+        # _prc is the profile store's remote traffic.
+        self._l1c, self._l2c, self._l3c, self._prc = (
+            CounterCell(TierStats, self._counter_lock) for _ in range(4)
+        )
         self.store = ProfileStore()
         self._bind_store_remote()
         self._load_profiles()
@@ -486,15 +457,9 @@ class Workspace:
                 else None
             )
         except Exception:  # noqa: BLE001 - tier must never raise
-            with self._counter_lock:
-                self._prc.errors += 1
-                self._prc.misses += 1
+            self._prc.inc("errors", "misses")
             return None
-        with self._counter_lock:
-            if text is None:
-                self._prc.misses += 1
-            else:
-                self._prc.hits += 1
+        self._prc.inc("misses" if text is None else "hits")
         return value
 
     def _remote_profile_publish(self, full_key: tuple, value: object) -> None:
@@ -503,11 +468,7 @@ class Workspace:
             stored = self._remote.put(*_profile_document(full_key, value))
         except Exception:  # noqa: BLE001 - tier must never raise
             stored = False
-        with self._counter_lock:
-            if stored:
-                self._prc.writes += 1
-            else:
-                self._prc.errors += 1
+        self._prc.inc("writes" if stored else "errors")
 
     def save(self) -> None:
         """Write every settled profile that is not on disk yet.
@@ -551,18 +512,19 @@ class Workspace:
         service = self._service_stats
         l1 = self._l1.stats if self._l1 is not None else TierStats()
         with self._counter_lock:
+            l1_counts = self._l1c.counts()
             cache = CacheStats(
                 l1=replace(
-                    l1, fills=self._l1c.fills, writes=self._l1c.writes
+                    l1,
+                    fills=l1_counts["fills"],
+                    writes=l1_counts["writes"],
                 ),
                 l2=self._l2c.snapshot(),
                 l3=self._l3c.snapshot(),
                 profiles_remote=self._prc.snapshot(),
             )
-            return WorkspaceStats(
+            return self._plan_counts.snapshot(
                 profiles=self.store.stats,
-                plan_hits=self._plan_hits,
-                plan_misses=self._plan_misses,
                 solver=self.store.solver_context.stats,
                 service=service() if service is not None else None,
                 cache=cache,
@@ -608,10 +570,11 @@ class Workspace:
         if self._l1 is not None:
             self._l1.clear(reset_stats=True)
         with self._counter_lock:
-            self._plan_hits = 0
-            self._plan_misses = 0
             self._plan_futures = {}
-            for cell in (self._l1c, self._l2c, self._l3c, self._prc):
+            for cell in (
+                self._plan_counts, self._l1c, self._l2c, self._l3c,
+                self._prc,
+            ):
                 cell.reset()
         self.store = ProfileStore()
         self._bind_store_remote()
@@ -807,13 +770,11 @@ class Workspace:
             data = json.loads(text)
         except (OSError, ValueError):
             _quarantine(path)
-            with self._counter_lock:
-                self._l2c.errors += 1
+            self._l2c.inc("errors")
             return None
         if not isinstance(data, dict) or "schema_version" not in data:
             _quarantine(path)
-            with self._counter_lock:
-                self._l2c.errors += 1
+            self._l2c.inc("errors")
             return None
         if data["schema_version"] != WORKSPACE_SCHEMA_VERSION:
             raise WorkspaceError(
@@ -844,8 +805,7 @@ class Workspace:
         if self._l1 is None:
             return
         self._l1.put(dig, plan, size=size)
-        with self._counter_lock:
-            self._l1c.fills += 1
+        self._l1c.inc("fills")
 
     def _probe_disk(
         self, dig: str, path: Path, key_json: str, *, count_miss: bool = True
@@ -860,12 +820,10 @@ class Workspace:
         entry = self._load_plan_entry(path, key_json)
         if entry is None:
             if count_miss:
-                with self._counter_lock:
-                    self._l2c.misses += 1
+                self._l2c.inc("misses")
             return None
         plan, size = entry
-        with self._counter_lock:
-            self._l2c.hits += 1
+        self._l2c.inc("hits")
         self._touch(path)
         self._fill_l1(dig, plan, size)
         return plan
@@ -882,8 +840,7 @@ class Workspace:
         """
         text = self._remote.get(dig)
         if text is None:
-            with self._counter_lock:
-                self._l3c.misses += 1
+            self._l3c.inc("misses")
             return None
         try:
             data = json.loads(text)
@@ -893,15 +850,11 @@ class Workspace:
                 raise ValueError("remote plan key mismatch")
             plan = IterationPlan.from_dict(data["plan"])
         except Exception:  # noqa: BLE001 - refuse, don't misread
-            with self._counter_lock:
-                self._l3c.errors += 1
-                self._l3c.misses += 1
+            self._l3c.inc("errors", "misses")
             return None
-        with self._counter_lock:
-            self._l3c.hits += 1
+        self._l3c.inc("hits")
         _atomic_write(path, text)
-        with self._counter_lock:
-            self._l2c.fills += 1
+        self._l2c.inc("fills")
         self._fill_l1(dig, plan, len(text))
         return plan
 
@@ -1086,7 +1039,7 @@ class Workspace:
                 self._plan_futures[dig] = future
                 owner = True
             else:
-                self._plan_hits += 1
+                self._plan_counts.inc("plan_hits")
         if not owner:
             # Joined onto another thread's in-flight resolution of the
             # same digest; the `join` span covers the wait.
@@ -1099,8 +1052,7 @@ class Workspace:
         try:
             plan = self._lookup_plan(dig, path, key_json)
             if plan is not None:
-                with self._counter_lock:
-                    self._plan_hits += 1
+                self._plan_counts.inc("plan_hits")
             else:
                 # Cross-process single-flight: hold this digest's advisory
                 # lock across the compile so a second process sharing the
@@ -1125,8 +1077,7 @@ class Workspace:
                         span.end()
                     if plan is not None:
                         # Another process compiled it while we waited.
-                        with self._counter_lock:
-                            self._plan_hits += 1
+                        self._plan_counts.inc("plan_hits")
                     else:
                         compiler = self.compiler(
                             cluster, parallel, noise=noise, seed=seed,
@@ -1139,8 +1090,7 @@ class Workspace:
                             routing_overhead=routing_overhead,
                             include_gar=include_gar,
                         )
-                        with self._counter_lock:
-                            self._plan_misses += 1
+                        self._plan_counts.inc("plan_misses")
                         payload = json.dumps(
                             {
                                 "schema_version": WORKSPACE_SCHEMA_VERSION,
@@ -1151,19 +1101,15 @@ class Workspace:
                         # Write-through: disk, then memory, then (best
                         # effort) the shared tier.
                         _atomic_write(path, payload)
-                        with self._counter_lock:
-                            self._l2c.writes += 1
+                        self._l2c.inc("writes")
                         if self._l1 is not None:
                             self._l1.put(dig, plan, size=len(payload))
-                            with self._counter_lock:
-                                self._l1c.writes += 1
+                            self._l1c.inc("writes")
                         if self._remote is not None:
                             stored = self._remote.put(dig, payload)
-                            with self._counter_lock:
-                                if stored:
-                                    self._l3c.writes += 1
-                                else:
-                                    self._l3c.errors += 1
+                            self._l3c.inc(
+                                "writes" if stored else "errors"
+                            )
                 if self._autosave:
                     self.save()
         except BaseException as exc:

@@ -45,7 +45,7 @@ import threading
 
 from ..errors import ConfigError
 from ..obs.export import render_prometheus
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import stats_samples
 from .lru import LRUCache
 
 #: on-wire schema of the remote-tier protocol *and* the cached
@@ -191,23 +191,12 @@ class CacheServer(socketserver.ThreadingTCPServer):
     def exposition(self) -> str:
         """The server's own counters as Prometheus text exposition.
 
-        The same numbers ``stat`` returns, under the
+        The store's :class:`~repro.cache.stats.TierStats` under the
         ``repro.cache.server.*`` namespace (exact, scrape-ready).
         """
-        stats = self.store.stats
-        registry = MetricsRegistry()
-        for name, value in (
-            ("hits", stats.hits),
-            ("misses", stats.misses),
-            ("evictions", stats.evictions),
-        ):
-            registry.counter(f"repro.cache.server.{name}").inc(value)
-        for name, value in (
-            ("entries", stats.entries),
-            ("bytes", stats.bytes),
-        ):
-            registry.gauge(f"repro.cache.server.{name}").set(value)
-        return render_prometheus(registry.snapshot())
+        return render_prometheus(
+            stats_samples(self.store.stats, "repro.cache.server.")
+        )
 
     def start(self) -> str:
         """Serve on a daemon thread; returns the connectable address."""

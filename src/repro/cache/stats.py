@@ -11,16 +11,18 @@ remote); a :class:`CacheStats` bundles the plan-cache tiers plus the
 profile store's remote-tier traffic.  Both subtract for the report
 runner's ``since`` windowing -- counters as deltas, gauges (``entries``,
 ``bytes``) carried from the newer snapshot, since occupancy is a level,
-not a rate.
+not a rate (declared once below; see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.metrics import Stats, gauge, nested
+
 
 @dataclass(frozen=True)
-class TierStats:
+class TierStats(Stats):
     """Snapshot of one cache tier's counters.
 
     Attributes:
@@ -45,8 +47,8 @@ class TierStats:
     writes: int = 0
     evictions: int = 0
     errors: int = 0
-    entries: int = 0
-    bytes: int = 0
+    entries: int = gauge()
+    bytes: int = gauge()
 
     @property
     def lookups(self) -> int:
@@ -60,26 +62,9 @@ class TierStats:
             return 1.0
         return self.hits / self.lookups
 
-    def __sub__(self, other: "TierStats") -> "TierStats":
-        """Counter delta (``after - before``); gauges come from ``self``.
-
-        ``entries``/``bytes`` describe current occupancy, so the newer
-        snapshot's levels are carried instead of subtracted.
-        """
-        return TierStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            fills=self.fills - other.fills,
-            writes=self.writes - other.writes,
-            evictions=self.evictions - other.evictions,
-            errors=self.errors - other.errors,
-            entries=self.entries,
-            bytes=self.bytes,
-        )
-
 
 @dataclass(frozen=True)
-class CacheStats:
+class CacheStats(Stats):
     """Per-tier counters of one workspace's tiered cache.
 
     Attributes:
@@ -91,16 +76,7 @@ class CacheStats:
             directly assertable.
     """
 
-    l1: TierStats = TierStats()
-    l2: TierStats = TierStats()
-    l3: TierStats = TierStats()
-    profiles_remote: TierStats = TierStats()
-
-    def __sub__(self, other: "CacheStats") -> "CacheStats":
-        """Tier-by-tier counter delta between two snapshots."""
-        return CacheStats(
-            l1=self.l1 - other.l1,
-            l2=self.l2 - other.l2,
-            l3=self.l3 - other.l3,
-            profiles_remote=self.profiles_remote - other.profiles_remote,
-        )
+    l1: TierStats = nested(TierStats())
+    l2: TierStats = nested(TierStats())
+    l3: TierStats = nested(TierStats())
+    profiles_remote: TierStats = nested(TierStats())

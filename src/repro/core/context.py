@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
 from ..errors import SolverError
+from ..obs.metrics import Stats, gauge
 
 #: accepted Algorithm-1 implementations: ``"batch"`` is the vectorized
 #: exact sweep, ``"slsqp"`` the paper's continuous relaxation.
@@ -35,7 +36,7 @@ T = TypeVar("T")
 
 
 @dataclass(frozen=True)
-class SolverStats:
+class SolverStats(Stats):
     """Exact counters of one context's batched Algorithm-1 and Step-2 work.
 
     Attributes:
@@ -57,30 +58,10 @@ class SolverStats:
     solves: int = 0
     cache_hits: int = 0
     batch_calls: int = 0
-    max_batch_size: int = 0
+    max_batch_size: int = gauge()
     evictions: int = 0
     step2_objective_calls: int = 0
     step2_candidates: int = 0
-
-    def __sub__(self, other: "SolverStats") -> "SolverStats":
-        """Counter delta between two snapshots (``after - before``).
-
-        ``max_batch_size`` is not a counter and cannot be windowed from
-        two snapshots; the delta carries the later snapshot's value.
-        Measure in a new context when the true per-window maximum
-        matters.
-        """
-        return SolverStats(
-            solves=self.solves - other.solves,
-            cache_hits=self.cache_hits - other.cache_hits,
-            batch_calls=self.batch_calls - other.batch_calls,
-            max_batch_size=self.max_batch_size,
-            evictions=self.evictions - other.evictions,
-            step2_objective_calls=(
-                self.step2_objective_calls - other.step2_objective_calls
-            ),
-            step2_candidates=self.step2_candidates - other.step2_candidates,
-        )
 
 
 class SolverContext:

@@ -1,4 +1,4 @@
-"""Unified telemetry layer: trace spans, metrics registry, exporters.
+"""Unified telemetry layer: trace spans, the stats schema, exporters.
 
 Stdlib-only (imports nothing from the rest of the library beyond the
 error hierarchy), so every other layer -- planner, cache tiers,
@@ -7,9 +7,10 @@ serving, report runner -- can emit into it without import cycles:
 * :mod:`repro.obs.trace` -- :class:`Tracer`/:class:`Span` structured
   tracing with contextvar nesting, a deterministic JSON-lines file
   format, and span-tree rendering/canonicalization;
-* :mod:`repro.obs.metrics` -- Counter/Gauge/Histogram instruments and
-  the :func:`workspace_metrics` adapter that maps the four legacy
-  stats families into one ``repro.*`` namespace;
+* :mod:`repro.obs.metrics` -- the stats schema every typed stats
+  dataclass declares its counters, gauges and histograms in (windowing
+  and the ``repro.*`` exposition rows of :func:`stats_samples` derive
+  from it), plus the exact bucketed :class:`Histogram`;
 * :mod:`repro.obs.export` -- Prometheus-style text exposition and a
   lossless JSON dump (plus their parsers, for wire-format tests).
 
@@ -30,15 +31,14 @@ from .metrics import (
     DEFAULT_LATENCY_BOUNDS_MS,
     EMPTY_LATENCY,
     LATENCY_GROWTH,
-    Counter,
-    Gauge,
+    CounterCell,
     Histogram,
     HistogramSnapshot,
     MetricSample,
-    MetricsRegistry,
+    Stats,
     empty_snapshot,
     exponential_bounds,
-    workspace_metrics,
+    stats_samples,
 )
 from .trace import (
     DEFAULT_MAX_SPANS,
@@ -59,15 +59,14 @@ __all__ = [
     "DEFAULT_MAX_SPANS",
     "EMPTY_LATENCY",
     "LATENCY_GROWTH",
-    "Counter",
-    "Gauge",
+    "CounterCell",
     "Histogram",
     "HistogramSnapshot",
     "MetricSample",
-    "MetricsRegistry",
     "Span",
     "SpanNode",
     "SpanRecord",
+    "Stats",
     "Tracer",
     "build_tree",
     "canonical_tree",
@@ -82,5 +81,5 @@ __all__ = [
     "render_prometheus",
     "render_tree",
     "samples_from_json",
-    "workspace_metrics",
+    "stats_samples",
 ]

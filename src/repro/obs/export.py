@@ -1,12 +1,12 @@
 """Exporters: Prometheus-style text exposition and a JSON dump.
 
-Both render a :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-(a tuple of :class:`~repro.obs.metrics.MetricSample`) so any snapshot
--- live registry, windowed delta, or one reassembled from a remote
-``metrics`` op -- exports the same way.
+Both render a sequence of :class:`~repro.obs.metrics.MetricSample`
+rows -- :func:`~repro.obs.metrics.stats_samples` of any typed stats
+snapshot, cumulative or windowed, or rows reassembled from a JSON
+dump -- so every source exports the same way.
 
 The exposition format is the Prometheus text format restricted to what
-this library emits: dotted registry names become underscore-separated
+this library emits: dotted metric names become underscore-separated
 metric names, every metric gets ``# HELP``/``# TYPE`` lines, and
 histograms expand into cumulative ``_bucket{le="..."}`` series plus
 ``_sum`` and ``_count``.  :func:`parse_prometheus` reads that subset
@@ -24,7 +24,7 @@ from .metrics import HistogramSnapshot, MetricSample
 
 
 def prometheus_name(name: str) -> str:
-    """Registry name -> exposition name (dots become underscores)."""
+    """Dotted metric name -> exposition name (dots become underscores)."""
     return name.replace(".", "_").replace("-", "_")
 
 
@@ -42,8 +42,8 @@ def render_prometheus(samples: Sequence[MetricSample]) -> str:
 
     Counters/gauges become single series; histograms expand into
     cumulative ``_bucket`` series (one per bound, plus ``+Inf``),
-    ``_sum`` and ``_count``.  Output order follows the snapshot, so a
-    registry renders deterministically.
+    ``_sum`` and ``_count``.  Output order follows the rows, so a stats
+    snapshot renders deterministically.
     """
     lines: list[str] = []
     for sample in samples:
@@ -134,7 +134,7 @@ def parse_prometheus(text: str) -> dict[str, float]:
 
     Bucket series keep their label (``name_bucket{le="0.5"}``); the
     returned mapping holds every sample line verbatim, which is what
-    exactness tests compare against legacy stats fields.
+    exactness tests compare against typed stats fields.
 
     Raises:
         ConfigError: for lines that are neither comments nor samples.

@@ -1,17 +1,20 @@
-"""Metrics registry: Counter/Gauge/Histogram in one named namespace.
+"""Metrics: the stats schema, and exact mergeable histograms.
 
-The library already counts everything exactly -- four separate stats
-families (:class:`~repro.core.context.SolverStats`,
+The library counts everything exactly, in frozen stats dataclasses
+(:class:`~repro.core.context.SolverStats`,
+:class:`~repro.planner.store.StoreStats`,
+:class:`~repro.cache.stats.TierStats`/:class:`~repro.cache.stats.CacheStats`,
 :class:`~repro.serve.stats.ServiceStats`,
-:class:`~repro.cache.stats.CacheStats`,
-:class:`~repro.api.workspace.WorkspaceStats`) with their own field
-names and windowing.  This module gives them one export surface: a
-:class:`MetricsRegistry` of named instruments under the ``repro.*``
-namespace (``repro.solver.solves``, ``repro.cache.l1.hits``,
-``repro.serve.requests``, ``repro.workspace.plan_misses``, ...), built
-from any :class:`WorkspaceStats` snapshot by
-:func:`workspace_metrics` -- every value carried over *exactly*, never
-resampled.
+:class:`~repro.serve.net.NetStats`/:class:`~repro.serve.net.LaneStats`
+and :class:`~repro.api.workspace.WorkspaceStats`).  Each derives
+:class:`Stats` and declares once, on its fields, how each one behaves:
+a counter (the default), a :func:`gauge`, a :func:`histogram` or
+:func:`nested` stats with their metric prefix.  From that one
+declaration come the window (``later - earlier``, alias ``since``),
+the generic dict (:meth:`Stats.to_dict`) and the exposition rows
+(:func:`stats_samples`), so the typed stats and the ``repro.*``
+exposition match by construction; :class:`CounterCell` is the mutable
+side behind a snapshot.
 
 :class:`Histogram` replaces the ad-hoc latency percentile reservoirs:
 fixed exponential bucket bounds (:func:`exponential_bounds`), so a
@@ -25,15 +28,13 @@ of a sample).
 
 from __future__ import annotations
 
+import functools
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import ClassVar, Mapping
 
 from ..errors import ConfigError
-
-if TYPE_CHECKING:  # duck-typed at runtime: obs stays import-light
-    from ..api.workspace import WorkspaceStats
 
 
 def exponential_bounds(
@@ -166,61 +167,6 @@ def empty_snapshot(
 EMPTY_LATENCY = empty_snapshot()
 
 
-class Counter:
-    """A monotonically increasing value (thread-safe)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0: counters only go up).
-
-        Raises:
-            ConfigError: for a negative increment.
-        """
-        if amount < 0:
-            raise ConfigError(
-                f"counters are monotonic; cannot inc by {amount!r}"
-            )
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        """The current count."""
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A value that may go up or down (thread-safe)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        """Replace the current level."""
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        """Shift the current level by ``amount`` (either sign)."""
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        """The current level."""
-        with self._lock:
-            return self._value
-
-
 class Histogram:
     """Bucketed observations over fixed exponential bounds (thread-safe).
 
@@ -286,7 +232,7 @@ class MetricSample:
     """One named metric at one instant (what a snapshot yields).
 
     Attributes:
-        name: dotted registry name (``repro.cache.l1.hits``).
+        name: dotted metric name (``repro.cache.l1.hits``).
         kind: ``"counter"``, ``"gauge"`` or ``"histogram"``.
         value: the scalar level/count, or a
             :class:`HistogramSnapshot` for histograms.
@@ -299,231 +245,234 @@ class MetricSample:
     help: str = ""
 
 
-class MetricsRegistry:
-    """A named, ordered collection of metric instruments.
 
-    Instruments are created idempotently by name -- asking twice for
-    ``counter("repro.x")`` returns the same :class:`Counter` -- and a
-    name registered as one kind cannot be re-registered as another.
-    ``snapshot()`` freezes every instrument into
-    :class:`MetricSample` rows, in registration order, which the
-    exporters (:mod:`repro.obs.export`) render.
+
+# -- the stats schema ---------------------------------------------------------
+#
+# Every exact counter of the library lives in a frozen stats dataclass
+# deriving :class:`Stats`; each field declares once how it behaves, and
+# windowing (``later - earlier``), the generic dict and the exposition
+# rows (:func:`stats_samples`) all follow that declaration.
+
+COUNTER = "counter"
+GAUGE = "gauge"
+HISTOGRAM = "histogram"
+NESTED = "nested"
+LABEL = "label"
+
+
+def counter(*, help: str = ""):
+    """A monotonic count (also the kind of an undeclared field).
+
+    A window subtracts it; it is exported as a counter.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # name -> (kind, help, instrument); dict order = registration.
-        self._metrics: dict[str, tuple[str, str, object]] = {}
-
-    def _instrument(
-        self, name: str, kind: str, help: str, factory
-    ) -> object:
-        if not name:
-            raise ConfigError("metric name must be non-empty")
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing[0] != kind:
-                    raise ConfigError(
-                        f"metric {name!r} is a {existing[0]}, not a "
-                        f"{kind}"
-                    )
-                return existing[2]
-            instrument = factory()
-            self._metrics[name] = (kind, help, instrument)
-            return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        """The named counter, created on first use.
-
-        Raises:
-            ConfigError: when ``name`` exists as a different kind.
-        """
-        return self._instrument(name, "counter", help, Counter)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """The named gauge, created on first use.
-
-        Raises:
-            ConfigError: when ``name`` exists as a different kind.
-        """
-        return self._instrument(name, "gauge", help, Gauge)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_MS,
-    ) -> Histogram:
-        """The named histogram, created on first use over ``bounds``.
-
-        Raises:
-            ConfigError: when ``name`` exists as a different kind.
-        """
-        return self._instrument(
-            name, "histogram", help, lambda: Histogram(bounds)
-        )
-
-    def set_histogram(
-        self, name: str, snapshot: HistogramSnapshot, help: str = ""
-    ) -> None:
-        """Load an existing snapshot into the named histogram slot.
-
-        The adapter path: the serving layer already *has* an exact
-        snapshot; re-observing its buckets one by one would be both
-        slow and lossy for ``sum``.
-
-        Raises:
-            ConfigError: when ``name`` exists as a non-histogram.
-        """
-        histogram = self.histogram(name, help, bounds=snapshot.bounds)
-        with histogram._lock:
-            histogram._counts = list(snapshot.counts)
-            histogram._sum = snapshot.sum
-            histogram._count = snapshot.count
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
-
-    def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            return iter(tuple(self._metrics))
-
-    def snapshot(self) -> tuple[MetricSample, ...]:
-        """Freeze every instrument, in registration order."""
-        with self._lock:
-            rows = tuple(self._metrics.items())
-        samples = []
-        for name, (kind, help, instrument) in rows:
-            if kind == "histogram":
-                value: float | HistogramSnapshot = instrument.snapshot()
-            else:
-                value = instrument.value
-            samples.append(
-                MetricSample(name=name, kind=kind, value=value, help=help)
-            )
-        return tuple(samples)
+    return field(default=0, metadata={"kind": COUNTER, "help": help})
 
 
-def _fill(
-    registry: MetricsRegistry,
-    prefix: str,
-    counters: Mapping[str, float],
-    gauges: Mapping[str, float] = {},
-) -> None:
-    for field_name, value in counters.items():
-        registry.counter(f"{prefix}.{field_name}").inc(value)
-    for field_name, value in gauges.items():
-        registry.gauge(f"{prefix}.{field_name}").set(value)
+def gauge(default: float = 0, *, help: str = ""):
+    """A level or a high-water mark.
+
+    A window carries it from the later snapshot (a level or a maximum
+    cannot be differenced); it is exported as a gauge.
+    """
+    return field(default=default, metadata={"kind": GAUGE, "help": help})
 
 
-def _tier_metrics(registry: MetricsRegistry, prefix: str, tier) -> None:
-    _fill(
-        registry,
-        prefix,
-        {
-            "hits": tier.hits,
-            "misses": tier.misses,
-            "fills": tier.fills,
-            "writes": tier.writes,
-            "evictions": tier.evictions,
-            "errors": tier.errors,
-        },
-        {"entries": tier.entries, "bytes": tier.bytes},
+def histogram(name: str, *, help: str = ""):
+    """A :class:`HistogramSnapshot`, exported as ``name``.
+
+    A window subtracts it bucket-wise.
+    """
+    return field(
+        default=EMPTY_LATENCY,
+        metadata={"kind": HISTOGRAM, "name": name, "help": help},
     )
 
 
-def workspace_metrics(
-    stats: "WorkspaceStats",
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Adapt one :class:`WorkspaceStats` snapshot into the namespace.
-
-    Every legacy counter is carried over exactly, under its family's
-    prefix:
-
-    * ``repro.workspace.*`` -- plan cache totals and the profile
-      store's hit/miss counters;
-    * ``repro.cache.{l1,l2,l3,profiles_remote}.*`` -- per-tier counters
-      plus the ``entries``/``bytes`` occupancy gauges;
-    * ``repro.solver.*`` -- the batched Algorithm-1 and Step-2 solver
-      counters of the workspace's solver context;
-    * ``repro.serve.*`` -- the bound service's counters and its exact
-      latency histogram (only when a service is bound).
+def nested(
+    default=MISSING, *, prefix: str | None = None, carried: bool = False
+):
+    """Another stats object, or a tuple of labelled ones.
 
     Args:
-        stats: any snapshot -- cumulative (``workspace.stats``) or a
-            windowed delta (``stats.since(earlier)``).
-        registry: registry to fill; None builds a fresh one.
-
-    Returns:
-        The filled registry (snapshot/render it via
-        :mod:`repro.obs.export`).
+        default: the field default (a stats object, ``()`` or None;
+            none makes the field required).
+        prefix: the full metric-name prefix of the nested series; None
+            nests them under ``<parent prefix><field name>.``.  Items
+            of a tuple add ``<label>.`` to it.
+        carried: a window carries the later snapshot's object instead
+            of subtracting.
     """
-    if registry is None:
-        registry = MetricsRegistry()
-    profiles = stats.profiles
-    _fill(
-        registry,
-        "repro.workspace",
-        {
-            "plan_hits": stats.plan_hits,
-            "plan_misses": stats.plan_misses,
-            "profile_hits": profiles.hits,
-            "profile_misses": profiles.misses,
-            "profile_cluster_hits": profiles.cluster_hits,
-            "profile_cluster_misses": profiles.cluster_misses,
-            "profile_layer_hits": profiles.layer_hits,
-            "profile_layer_misses": profiles.layer_misses,
-        },
+    return field(
+        default=default,
+        metadata={"kind": NESTED, "prefix": prefix, "carried": carried},
     )
-    cache = stats.cache
-    _tier_metrics(registry, "repro.cache.l1", cache.l1)
-    _tier_metrics(registry, "repro.cache.l2", cache.l2)
-    _tier_metrics(registry, "repro.cache.l3", cache.l3)
-    _tier_metrics(
-        registry, "repro.cache.profiles_remote", cache.profiles_remote
+
+
+def label():
+    """The name of one item in a tuple of stats (a lane's name).
+
+    Carried by windows, a key in :meth:`Stats.to_dict` and a segment of
+    the metric prefix; never a series of its own.
+    """
+    return field(metadata={"kind": LABEL})
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, str, Mapping], ...]:
+    """``(field name, kind, metadata)`` of each field, in declared order."""
+    return tuple(
+        (f.name, f.metadata.get("kind", COUNTER), f.metadata)
+        for f in fields(cls)
     )
-    solver = stats.solver
-    _fill(
-        registry,
-        "repro.solver",
-        {
-            "solves": solver.solves,
-            "cache_hits": solver.cache_hits,
-            "batch_calls": solver.batch_calls,
-            "evictions": solver.evictions,
-            "step2_objective_calls": solver.step2_objective_calls,
-            "step2_candidates": solver.step2_candidates,
-        },
-        {"max_batch_size": solver.max_batch_size},
+
+
+def _label(stats: "Stats") -> str:
+    return next(
+        getattr(stats, name)
+        for name, kind, _ in _schema(type(stats))
+        if kind == LABEL
     )
-    service = stats.service
-    if service is not None:
-        _fill(
-            registry,
-            "repro.serve",
-            {
-                "requests": service.requests,
-                "completed": service.completed,
-                "failed": service.failed,
-                "rejected": service.rejected,
-                "dedup_hits": service.dedup_hits,
-                "resolved": service.resolved,
-                "batches": service.batches,
-                "coalesced_requests": service.coalesced_requests,
-                "futures_evicted": service.futures_evicted,
-            },
-            {
-                "max_batch": service.max_batch,
-                "p50_latency_ms": service.p50_latency_ms,
-                "p95_latency_ms": service.p95_latency_ms,
-            },
+
+
+class Stats:
+    """Base of the frozen stats dataclasses: one generic window.
+
+    Attributes:
+        derived: ``(property, kind)`` pairs exported after the fields
+            (values computed from the fields, such as a store's total
+            ``hits``); a window recomputes them from its own fields.
+    """
+
+    derived: ClassVar[tuple[tuple[str, str], ...]] = ()
+
+    def __sub__(self, earlier):
+        """The activity between two snapshots (``later - earlier``).
+
+        Counters and histograms are deltas, nested stats recurse (tuple
+        items pairwise); gauges, labels and carried nested stats come
+        from the later snapshot.  Any counter invariant of one
+        consistent snapshot (``dedup_hits + resolved == completed``)
+        therefore holds for the window too.
+        """
+        changes = {}
+        for name, kind, meta in _schema(type(self)):
+            if kind in (COUNTER, HISTOGRAM) or (
+                kind == NESTED and not meta["carried"]
+            ):
+                later, before = getattr(self, name), getattr(earlier, name)
+                changes[name] = (
+                    tuple(a - b for a, b in zip(later, before))
+                    if isinstance(later, tuple)
+                    else later - before
+                )
+        return replace(self, **changes)
+
+    #: the same window, read as "what happened since ``earlier``".
+    since = __sub__
+
+    def to_dict(self) -> dict:
+        """Field values by name, nested stats as dicts.
+
+        A tuple of labelled stats becomes a dict keyed by label (the
+        label itself is not repeated); histograms stay snapshots.
+        """
+        body = {}
+        for name, kind, _ in _schema(type(self)):
+            value = getattr(self, name)
+            if kind == LABEL:
+                continue
+            if isinstance(value, tuple):
+                value = {_label(item): item.to_dict() for item in value}
+            elif isinstance(value, Stats):
+                value = value.to_dict()
+            body[name] = value
+        return body
+
+
+def stats_samples(stats: Stats, prefix: str) -> tuple[MetricSample, ...]:
+    """One exposition row per declared field of ``stats``, exactly.
+
+    Rows follow the declared field order, each named ``prefix +
+    field`` (a histogram by its declared name), then the type's
+    ``derived`` rows; nested stats recurse under their own prefix, and
+    a nested field that is None (no service bound) exports nothing.
+
+    Args:
+        stats: any snapshot -- cumulative or a window.
+        prefix: the metric-name prefix, separator included
+            (``"repro.workspace."``).
+    """
+    rows: list[MetricSample] = []
+    _collect(stats, prefix, rows)
+    return tuple(rows)
+
+
+def _collect(stats: Stats, prefix: str, rows: list[MetricSample]) -> None:
+    for name, kind, meta in _schema(type(stats)):
+        value = getattr(stats, name)
+        if kind == NESTED:
+            inner = meta["prefix"] or f"{prefix}{name}."
+            if isinstance(value, tuple):
+                for item in value:
+                    _collect(item, f"{inner}{_label(item)}.", rows)
+            elif value is not None:
+                _collect(value, inner, rows)
+        elif kind != LABEL:
+            rows.append(
+                MetricSample(
+                    name=prefix + meta.get("name", name),
+                    kind=kind,
+                    value=value if kind == HISTOGRAM else float(value),
+                    help=meta.get("help", ""),
+                )
+            )
+    for name, kind in stats.derived:
+        rows.append(
+            MetricSample(prefix + name, kind, float(getattr(stats, name)))
         )
-        registry.set_histogram(
-            "repro.serve.latency_ms",
-            service.latency,
-            "submission-to-resolution latency (ms)",
-        )
-    return registry
+
+
+class CounterCell:
+    """The mutable counter fields of one stats type, under one lock.
+
+    The component passes its own lock, so one lock can guard several
+    cells and a snapshot of all of them is consistent (``inc`` takes
+    the lock; a reentrant lock lets a caller already holding it count).
+
+    Args:
+        stats_type: the :class:`Stats` dataclass whose counter fields
+            this cell counts.
+        lock: the guarding lock (default: a private one).
+    """
+
+    __slots__ = ("_type", "_lock", "_counts")
+
+    def __init__(self, stats_type: type, lock=None) -> None:
+        self._type = stats_type
+        self._lock = lock if lock is not None else threading.Lock()
+        self._counts = {
+            name: 0
+            for name, kind, _ in _schema(stats_type)
+            if kind == COUNTER
+        }
+
+    def inc(self, *names: str) -> None:
+        """Add one to each named counter, atomically."""
+        with self._lock:
+            for name in names:
+                self._counts[name] += 1
+
+    def counts(self) -> dict[str, int]:
+        """A consistent copy of every count."""
+        with self._lock:
+            return dict(self._counts)
+
+    def snapshot(self, **rest):
+        """The stats object of the counts, other fields from ``rest``."""
+        return self._type(**self.counts(), **rest)
+
+    def reset(self) -> None:
+        """Zero every count."""
+        with self._lock:
+            self._counts = dict.fromkeys(self._counts, 0)

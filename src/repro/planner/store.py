@@ -38,12 +38,13 @@ from ..core.perf_model import PerfModelSet
 from ..core.profiler import ProfileResult, profile_cluster
 from ..models.transformer import LayerProfile, profile_layer
 from ..moe.gates import GateKind
+from ..obs.metrics import COUNTER, Stats
 from ..parallel.collectives import A2AAlgorithm
 from ..parallel.topology import ClusterSpec
 
 
 @dataclass(frozen=True)
-class StoreStats:
+class StoreStats(Stats):
     """Snapshot of the store's hit/miss counters.
 
     Attributes:
@@ -52,6 +53,8 @@ class StoreStats:
         layer_hits: layer-profile requests served from cache.
         layer_misses: layer profiles actually computed.
     """
+
+    derived = (("hits", COUNTER), ("misses", COUNTER))
 
     cluster_hits: int = 0
     cluster_misses: int = 0
@@ -67,15 +70,6 @@ class StoreStats:
     def misses(self) -> int:
         """All requests that had to compute."""
         return self.cluster_misses + self.layer_misses
-
-    def __sub__(self, other: "StoreStats") -> "StoreStats":
-        """Counter delta between two snapshots (``after - before``)."""
-        return StoreStats(
-            cluster_hits=self.cluster_hits - other.cluster_hits,
-            cluster_misses=self.cluster_misses - other.cluster_misses,
-            layer_hits=self.layer_hits - other.layer_hits,
-            layer_misses=self.layer_misses - other.layer_misses,
-        )
 
 
 class ProfileStore:

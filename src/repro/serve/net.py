@@ -22,9 +22,9 @@
   ``draining`` + ``retry_after_ms``;
 * **observability** -- a per-request span (started on the reader task,
   ended on the responder) when the workspace traces, and exact
-  counters in a :class:`~repro.obs.metrics.MetricsRegistry` under
-  ``repro.net.*`` (per-lane depth gauges and shed counters included),
-  scrapeable over the wire via the ``metrics`` op.
+  counters (:class:`NetStats`, per-lane depth gauges and shed counters
+  included) that the ``stats`` op returns and the ``metrics`` op
+  renders under ``repro.net.*`` from the same snapshot.
 
 Every behavior is an exact counter (:class:`NetStats`); the invariant
 ``requests == completed + failed + shed + drained`` holds at every
@@ -58,7 +58,15 @@ from ..errors import (
     ServiceError,
 )
 from ..obs.export import render_prometheus
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import (
+    CounterCell,
+    Stats,
+    counter,
+    gauge,
+    label,
+    nested,
+    stats_samples,
+)
 from .protocol import (
     E_BAD_FRAME,
     E_BAD_JSON,
@@ -101,7 +109,7 @@ _BACKPRESSURE_PAUSE_S = 0.002
 
 
 @dataclass(frozen=True)
-class LaneStats:
+class LaneStats(Stats):
     """Exact counters of one priority lane.
 
     Attributes:
@@ -113,15 +121,15 @@ class LaneStats:
         peak_depth: high-water queue depth.
     """
 
-    name: str
-    admitted: int = 0
-    shed: int = 0
-    depth: int = 0
-    peak_depth: int = 0
+    name: str = label()
+    admitted: int = counter(help="requests admitted")
+    shed: int = counter(help="requests shed at a full lane")
+    depth: int = gauge(help="queued requests in this lane")
+    peak_depth: int = gauge(help="high-water queue depth of this lane")
 
 
 @dataclass(frozen=True)
-class NetStats:
+class NetStats(Stats):
     """Exact counters of one :class:`NetServer`.
 
     Attributes:
@@ -152,7 +160,7 @@ class NetStats:
     """
 
     connections: int = 0
-    open_connections: int = 0
+    open_connections: int = gauge()
     frames: int = 0
     requests: int = 0
     completed: int = 0
@@ -163,39 +171,12 @@ class NetStats:
     dropped: int = 0
     protocol_errors: int = 0
     backpressure_waits: int = 0
-    lanes: tuple[LaneStats, ...] = ()
+    lanes: tuple[LaneStats, ...] = nested((), prefix="repro.net.lane.")
 
     @property
     def accounted(self) -> int:
         """``completed + failed + shed + drained`` (== ``requests`` at rest)."""
         return self.completed + self.failed + self.shed + self.drained
-
-    def to_dict(self) -> dict:
-        """The ``stats`` op's JSON body (lanes keyed by name)."""
-        body = {
-            "connections": self.connections,
-            "open_connections": self.open_connections,
-            "frames": self.frames,
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "internal_errors": self.internal_errors,
-            "shed": self.shed,
-            "drained": self.drained,
-            "dropped": self.dropped,
-            "protocol_errors": self.protocol_errors,
-            "backpressure_waits": self.backpressure_waits,
-            "lanes": {
-                lane.name: {
-                    "admitted": lane.admitted,
-                    "shed": lane.shed,
-                    "depth": lane.depth,
-                    "peak_depth": lane.peak_depth,
-                }
-                for lane in self.lanes
-            },
-        }
-        return body
 
 
 @dataclass
@@ -220,13 +201,7 @@ class _Lane:
     read them atomically.
     """
 
-    def __init__(
-        self,
-        name: str,
-        capacity: int,
-        per_client: int,
-        registry: MetricsRegistry,
-    ) -> None:
+    def __init__(self, name: str, capacity: int, per_client: int) -> None:
         self.name = name
         self.capacity = capacity
         self.per_client = per_client
@@ -236,15 +211,6 @@ class _Lane:
         self.peak_depth = 0
         self.admitted = 0
         self.shed = 0
-        self._depth_gauge = registry.gauge(
-            f"repro.net.lane.{name}.depth", "queued requests in this lane"
-        )
-        self._admitted_counter = registry.counter(
-            f"repro.net.lane.{name}.admitted", "requests admitted"
-        )
-        self._shed_counter = registry.counter(
-            f"repro.net.lane.{name}.shed", "requests shed at a full lane"
-        )
 
     def push(self, item: _Pending) -> bool:
         """Admit one request; False (a shed) when a bound is hit."""
@@ -253,7 +219,6 @@ class _Lane:
             queue is not None and len(queue) >= self.per_client
         ):
             self.shed += 1
-            self._shed_counter.inc()
             return False
         if queue is None:
             queue = deque()
@@ -263,8 +228,6 @@ class _Lane:
         self.depth += 1
         self.peak_depth = max(self.peak_depth, self.depth)
         self.admitted += 1
-        self._admitted_counter.inc()
-        self._depth_gauge.set(self.depth)
         return True
 
     def push_front(self, item: _Pending) -> None:
@@ -277,7 +240,6 @@ class _Lane:
         queue.appendleft(item)
         self.depth += 1
         self.peak_depth = max(self.peak_depth, self.depth)
-        self._depth_gauge.set(self.depth)
 
     def pop(self) -> _Pending | None:
         """The next request, round-robin across clients; None when empty."""
@@ -293,7 +255,6 @@ class _Lane:
                 self.order.append(client)
             else:
                 self.queues.pop(client, None)
-            self._depth_gauge.set(self.depth)
             return item
         return None
 
@@ -305,49 +266,6 @@ class _Lane:
             shed=self.shed,
             depth=self.depth,
             peak_depth=self.peak_depth,
-        )
-
-
-class _Counters:
-    """Thread-safe server counters mirrored into the metrics registry."""
-
-    FIELDS = (
-        "connections", "frames", "requests", "completed", "failed",
-        "internal_errors", "shed", "drained", "dropped",
-        "protocol_errors", "backpressure_waits",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._lock = threading.Lock()
-        self._values = {name: 0 for name in self.FIELDS}
-        self._open = 0
-        self._counters = {
-            name: registry.counter(f"repro.net.{name}")
-            for name in self.FIELDS
-        }
-        self._open_gauge = registry.gauge("repro.net.open_connections")
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self._values[name] += amount
-        self._counters[name].inc(amount)
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._values[name]
-
-    def adjust_open(self, delta: int) -> None:
-        with self._lock:
-            self._open += delta
-            level = self._open
-        self._open_gauge.set(level)
-
-    def snapshot(self, lanes: tuple[LaneStats, ...]) -> NetStats:
-        with self._lock:
-            values = dict(self._values)
-            open_connections = self._open
-        return NetStats(
-            open_connections=open_connections, lanes=lanes, **values
         )
 
 
@@ -377,8 +295,6 @@ class NetServer:
             sheds; the batch lane scales it by the lane weight ratio.
         max_line_bytes: request-line bound; longer lines are refused
             with ``oversized-line`` and skipped.
-        registry: metrics registry to fill (default: a fresh one owned
-            by the server, exposed as :attr:`registry`).
 
     Raises:
         ConfigError: for neither/both of ``workspace``/``service`` or a
@@ -396,7 +312,6 @@ class NetServer:
         per_client: int | None = None,
         shed_retry_ms: float = DEFAULT_SHED_RETRY_MS,
         max_line_bytes: int = MAX_LINE_BYTES,
-        registry: MetricsRegistry | None = None,
         **service_kw,
     ) -> None:
         if (workspace is None) == (service is None):
@@ -433,11 +348,9 @@ class NetServer:
         self._port = port
         self._shed_retry_ms = float(shed_retry_ms)
         self._max_line_bytes = max_line_bytes
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = _Counters(self.registry)
+        self._counts = CounterCell(NetStats)
         self._lanes = {
-            name: _Lane(name, lane_capacity, per_client, self.registry)
-            for name in LANES
+            name: _Lane(name, lane_capacity, per_client) for name in LANES
         }
         max_weight = max(LANE_WEIGHTS.values())
         self._retry_ms = {
@@ -578,7 +491,7 @@ class NetServer:
                     item = lane.pop()
                     if item is None:
                         break
-                    self._counters.inc("drained")
+                    self._counts.inc("drained")
                     await self._respond(
                         item,
                         error_response(
@@ -627,14 +540,18 @@ class NetServer:
     def stats_snapshot(self) -> NetStats:
         """Exact network-tier counters at this instant (thread-safe)."""
         lanes = tuple(self._lanes[name].stats() for name in LANES)
-        return self._counters.snapshot(lanes)
+        return self._counts.snapshot(
+            open_connections=len(self._writers), lanes=lanes
+        )
 
     #: property alias mirroring ``PlanService.stats``.
     stats = property(stats_snapshot)
 
     def exposition(self) -> str:
         """The server's ``repro.net.*`` counters as Prometheus text."""
-        return render_prometheus(self.registry.snapshot())
+        return render_prometheus(
+            stats_samples(self.stats_snapshot(), "repro.net.")
+        )
 
     # -- connection handling -------------------------------------------------
 
@@ -647,8 +564,7 @@ class NetServer:
         if task is not None:
             self._conn_tasks.add(task)
         client = next(self._client_ids)
-        self._counters.inc("connections")
-        self._counters.adjust_open(1)
+        self._counts.inc("connections")
         self._writers.add(writer)
         buf = bytearray()
         discarding = False
@@ -659,7 +575,7 @@ class NetServer:
                     if discarding:
                         buf.clear()
                     elif len(buf) > self._max_line_bytes:
-                        self._counters.inc("protocol_errors")
+                        self._counts.inc("protocol_errors")
                         await self._send(
                             writer,
                             error_response(
@@ -682,7 +598,7 @@ class NetServer:
                     discarding = False
                     continue
                 if len(line) > self._max_line_bytes:
-                    self._counters.inc("protocol_errors")
+                    self._counts.inc("protocol_errors")
                     await self._send(
                         writer,
                         error_response(
@@ -702,7 +618,7 @@ class NetServer:
                     # the last line of defense: a defect while handling
                     # one frame answers `internal`, never kills the
                     # connection (the fuzz suite's no-death guarantee).
-                    self._counters.inc("internal_errors")
+                    self._counts.inc("internal_errors")
                     await self._send(
                         writer,
                         error_response(
@@ -717,7 +633,6 @@ class NetServer:
             pass
         finally:
             self._writers.discard(writer)
-            self._counters.adjust_open(-1)
             try:
                 writer.close()
             except OSError:  # pragma: no cover - close race
@@ -744,17 +659,17 @@ class NetServer:
         writer: asyncio.StreamWriter,
         line: bytes,
     ) -> None:
-        self._counters.inc("frames")
+        self._counts.inc("frames")
         try:
             data = json.loads(line)
         except ValueError:
-            self._counters.inc("protocol_errors")
+            self._counts.inc("protocol_errors")
             await self._send(
                 writer, error_response(E_BAD_JSON, "invalid JSON")
             )
             return
         if not isinstance(data, dict):
-            self._counters.inc("protocol_errors")
+            self._counts.inc("protocol_errors")
             await self._send(
                 writer,
                 error_response(E_BAD_FRAME, "expected a JSON object"),
@@ -762,7 +677,7 @@ class NetServer:
             return
         request_id = data.get("id")
         if data.get("schema") != PROTOCOL_SCHEMA_VERSION:
-            self._counters.inc("protocol_errors")
+            self._counts.inc("protocol_errors")
             await self._send(
                 writer,
                 error_response(
@@ -807,7 +722,7 @@ class NetServer:
                 ok_response(request_id, exposition=self.exposition()),
             )
         else:
-            self._counters.inc("protocol_errors")
+            self._counts.inc("protocol_errors")
             await self._send(
                 writer,
                 error_response(
@@ -841,11 +756,10 @@ class NetServer:
         request_id: object,
         data: dict,
     ) -> None:
-        self._counters.inc("requests")
+        self._counts.inc("requests")
         priority = data.get("priority", "interactive")
         if priority not in self._lanes:
-            self._counters.inc("failed")
-            self._counters.inc("protocol_errors")
+            self._counts.inc("failed", "protocol_errors")
             await self._send(
                 writer,
                 error_response(
@@ -858,8 +772,7 @@ class NetServer:
             return
         detail = data.get("detail", "summary")
         if detail not in ("summary", "plan"):
-            self._counters.inc("failed")
-            self._counters.inc("protocol_errors")
+            self._counts.inc("failed", "protocol_errors")
             await self._send(
                 writer,
                 error_response(
@@ -871,7 +784,7 @@ class NetServer:
             )
             return
         if self._draining:
-            self._counters.inc("drained")
+            self._counts.inc("drained")
             await self._send(
                 writer,
                 error_response(
@@ -888,8 +801,7 @@ class NetServer:
             # ConfigError for malformed shapes, RegistryError for
             # unknown system/cluster names, TopologyError for layouts
             # the cluster cannot host -- all the payload's own fault.
-            self._counters.inc("failed")
-            self._counters.inc("protocol_errors")
+            self._counts.inc("failed", "protocol_errors")
             await self._send(
                 writer,
                 error_response(
@@ -898,8 +810,7 @@ class NetServer:
             )
             return
         except Exception as exc:
-            self._counters.inc("failed")
-            self._counters.inc("internal_errors")
+            self._counts.inc("failed", "internal_errors")
             await self._send(
                 writer,
                 error_response(
@@ -930,7 +841,7 @@ class NetServer:
         )
         lane = self._lanes[priority]
         if not lane.push(item):
-            self._counters.inc("shed")
+            self._counts.inc("shed")
             if span is not None:
                 span.set(outcome="shed").end()
             await self._send(
@@ -972,12 +883,12 @@ class NetServer:
                 # the service backlog is the hard bound; hold the
                 # already-admitted request and retry after a pause
                 # instead of shedding admitted work.
-                self._counters.inc("backpressure_waits")
+                self._counts.inc("backpressure_waits")
                 self._lanes[item.priority].push_front(item)
                 await asyncio.sleep(_BACKPRESSURE_PAUSE_S)
                 continue
             except ServiceClosedError as exc:
-                self._counters.inc("drained")
+                self._counts.inc("drained")
                 await self._respond(
                     item,
                     error_response(
@@ -989,8 +900,7 @@ class NetServer:
                     outcome="drained",
                 )
             except ConfigError as exc:
-                self._counters.inc("failed")
-                self._counters.inc("protocol_errors")
+                self._counts.inc("failed", "protocol_errors")
                 await self._respond(
                     item,
                     error_response(
@@ -1000,8 +910,7 @@ class NetServer:
                     outcome="bad-request",
                 )
             except Exception as exc:
-                self._counters.inc("failed")
-                self._counters.inc("internal_errors")
+                self._counts.inc("failed", "internal_errors")
                 await self._respond(
                     item,
                     error_response(
@@ -1026,7 +935,7 @@ class NetServer:
         except asyncio.CancelledError:
             raise
         except ServiceClosedError as exc:
-            self._counters.inc("drained")
+            self._counts.inc("drained")
             await self._respond(
                 item,
                 error_response(
@@ -1037,7 +946,7 @@ class NetServer:
             )
             return
         except ReproError as exc:
-            self._counters.inc("failed")
+            self._counts.inc("failed")
             await self._respond(
                 item,
                 error_response(
@@ -1047,8 +956,7 @@ class NetServer:
             )
             return
         except Exception as exc:
-            self._counters.inc("failed")
-            self._counters.inc("internal_errors")
+            self._counts.inc("failed", "internal_errors")
             await self._respond(
                 item,
                 error_response(
@@ -1059,7 +967,7 @@ class NetServer:
                 outcome="internal",
             )
             return
-        self._counters.inc("completed")
+        self._counts.inc("completed")
         response = ok_response(item.request_id)
         if item.detail == "plan":
             response["plan"] = plan.to_dict()
@@ -1081,7 +989,7 @@ class NetServer:
     ) -> None:
         delivered = await self._send(item.writer, response)
         if not delivered:
-            self._counters.inc("dropped")
+            self._counts.inc("dropped")
         if item.span is not None:
             item.span.set(outcome=outcome, delivered=delivered).end()
 

@@ -19,13 +19,16 @@ percentile).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..obs.metrics import EMPTY_LATENCY, Histogram, HistogramSnapshot
-
-#: retained for windowing compatibility; the histogram has no window --
-#: it is exact over the service's whole lifetime.
-LATENCY_WINDOW = 8192
+from ..obs.metrics import (
+    GAUGE,
+    Histogram,
+    HistogramSnapshot,
+    Stats,
+    gauge,
+    histogram,
+)
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -46,7 +49,7 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 @dataclass(frozen=True)
-class ServiceStats:
+class ServiceStats(Stats):
     """Snapshot of one :class:`~repro.serve.PlanService`'s counters.
 
     Attributes:
@@ -68,13 +71,19 @@ class ServiceStats:
             entry bound (the cache answers repeat requests without
             touching the queue; an evicted entry just falls back to the
             workspace tiers).
-        p50_latency_ms: median submission-to-resolution latency, from
-            the exact latency buckets.
-        p95_latency_ms: 95th-percentile latency from the same buckets.
         latency: the full exact latency histogram (every resolution's
             submission-to-resolution milliseconds, bucketed; exported
             as ``repro.serve.latency_ms``).
+
+    A window (``later - earlier``) differences every counter and the
+    histogram, so its percentiles describe only the resolutions inside
+    it; ``max_batch`` is the later snapshot's high-water mark.  The
+    invariants ``dedup_hits + resolved == completed`` and "every
+    counter non-negative" hold for any pair of snapshots of one service
+    taken in order, however concurrent the load between them.
     """
+
+    derived = (("p50_latency_ms", GAUGE), ("p95_latency_ms", GAUGE))
 
     requests: int = 0
     completed: int = 0
@@ -83,12 +92,22 @@ class ServiceStats:
     dedup_hits: int = 0
     resolved: int = 0
     batches: int = 0
-    max_batch: int = 0
+    max_batch: int = gauge()
     coalesced_requests: int = 0
     futures_evicted: int = 0
-    p50_latency_ms: float = 0.0
-    p95_latency_ms: float = 0.0
-    latency: HistogramSnapshot = field(default=EMPTY_LATENCY)
+    latency: HistogramSnapshot = histogram(
+        "latency_ms", help="submission-to-resolution latency (ms)"
+    )
+
+    @property
+    def p50_latency_ms(self) -> float:
+        """Median submission-to-resolution latency, from the buckets."""
+        return self.latency.quantile(50.0)
+
+    @property
+    def p95_latency_ms(self) -> float:
+        """95th-percentile latency from the same buckets."""
+        return self.latency.quantile(95.0)
 
     @property
     def dedup_rate(self) -> float:
@@ -103,41 +122,6 @@ class ServiceStats:
         if self.batches == 0:
             return 0.0
         return self.coalesced_requests / self.batches
-
-    def __sub__(self, earlier: "ServiceStats") -> "ServiceStats":
-        """The activity between two snapshots (``later - earlier``).
-
-        Every counter is the plain delta; the latency percentiles are
-        recomputed from the *delta histogram*, so a window's p50/p95
-        describe only the resolutions inside it.  ``max_batch`` is the
-        later snapshot's high-water mark (a maximum cannot be
-        differenced).  The per-window invariants --
-        ``dedup_hits + resolved == completed``, every counter
-        non-negative -- hold for any pair of snapshots of one service
-        taken in order, however concurrent the load between them.
-        """
-        latency = self.latency - earlier.latency
-        return ServiceStats(
-            requests=self.requests - earlier.requests,
-            completed=self.completed - earlier.completed,
-            failed=self.failed - earlier.failed,
-            rejected=self.rejected - earlier.rejected,
-            dedup_hits=self.dedup_hits - earlier.dedup_hits,
-            resolved=self.resolved - earlier.resolved,
-            batches=self.batches - earlier.batches,
-            max_batch=self.max_batch,
-            coalesced_requests=(
-                self.coalesced_requests - earlier.coalesced_requests
-            ),
-            futures_evicted=self.futures_evicted - earlier.futures_evicted,
-            p50_latency_ms=latency.quantile(50.0),
-            p95_latency_ms=latency.quantile(95.0),
-            latency=latency,
-        )
-
-    def since(self, earlier: "ServiceStats") -> "ServiceStats":
-        """Alias of :meth:`__sub__`, mirroring ``WorkspaceStats.since``."""
-        return self - earlier
 
 
 class StatsAccumulator:
@@ -227,7 +211,5 @@ class StatsAccumulator:
                 batches=self._batches,
                 max_batch=self._max_batch,
                 coalesced_requests=self._coalesced,
-                p50_latency_ms=latency.quantile(50.0),
-                p95_latency_ms=latency.quantile(95.0),
                 latency=latency,
             )

@@ -4,13 +4,13 @@ import pytest
 
 from repro.config import ParallelSpec, standard_layout
 from repro.errors import TopologyError
+from repro.parallel import topology
 from repro.parallel.groups import build_group_layout
-from repro.parallel.topology import testbed_a, testbed_b
 
 
 @pytest.fixture
 def layout_b():
-    cluster = testbed_b()
+    cluster = topology.testbed_b()
     return build_group_layout(cluster, standard_layout(32, 4))
 
 
@@ -50,7 +50,7 @@ class TestLayoutShape:
 
 class TestPipelineStages:
     def test_two_stages_on_testbed_a(self):
-        cluster = testbed_a()
+        cluster = topology.testbed_a()
         layout = build_group_layout(cluster, standard_layout(48, 8, n_pp=2))
         assert len(layout.pp_stages) == 2
         assert len(layout.pp_stages[0]) == 24
@@ -65,20 +65,20 @@ class TestValidation:
     def test_rejects_wrong_mp_width(self):
         with pytest.raises(TopologyError):
             build_group_layout(
-                testbed_b(),
+                topology.testbed_b(),
                 ParallelSpec(n_dp=8, n_mp=8, n_ep=8, n_esp=8),
             )
 
     def test_rejects_wrong_ep_width(self):
         with pytest.raises(TopologyError):
             build_group_layout(
-                testbed_b(),
+                topology.testbed_b(),
                 ParallelSpec(n_dp=4, n_mp=4, n_ep=4, n_esp=4),
             )
 
     def test_rejects_uneven_pp(self):
         with pytest.raises(TopologyError):
             build_group_layout(
-                testbed_b(),
+                topology.testbed_b(),
                 ParallelSpec(n_dp=8, n_mp=4, n_ep=8, n_esp=4, n_pp=3),
             )

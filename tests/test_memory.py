@@ -10,12 +10,12 @@ from repro.models.memory import (
     layer_parameter_bytes,
     max_layers_that_fit,
 )
-from repro.parallel.topology import testbed_a, testbed_b
+from repro.parallel import topology
 
 
 @pytest.fixture(scope="module")
 def setup_b():
-    cluster = testbed_b()
+    cluster = topology.testbed_b()
     parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
     spec = layer_spec_for(
         MIXTRAL_7B, batch_size=1, seq_len=256, num_experts=parallel.n_ep
@@ -72,7 +72,7 @@ class TestPaperLayerCounts:
 
     def test_mixtral22b_33_layers_fit_a6000(self):
         """Paper §6.4: 33 Mixtral-22B layers fit the 48 GB A6000s."""
-        cluster = testbed_a()
+        cluster = topology.testbed_a()
         parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
         spec = layer_spec_for(
             MIXTRAL_22B, batch_size=1, seq_len=1024,

@@ -8,7 +8,8 @@ that makes online profiling viable on real, jittery clusters.
 
 import pytest
 
-from repro import MoELayerSpec, standard_layout, testbed_b
+from repro import MoELayerSpec, standard_layout
+from repro.parallel import topology
 from repro.core.pipeline_degree import find_optimal_pipeline_degree
 from repro.core.profiler import profile_cluster
 from repro.models import profile_layer
@@ -17,7 +18,7 @@ from repro.systems import FSMoE, Tutel
 
 @pytest.fixture(scope="module")
 def noisy_setup():
-    cluster = testbed_b()
+    cluster = topology.testbed_b()
     parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
     exact = profile_cluster(cluster, parallel).models
     noisy = profile_cluster(cluster, parallel, noise=0.05, seed=42).models

@@ -1,10 +1,13 @@
-"""The telemetry layer: trace spans, metrics registry, exporters, wiring."""
+"""The telemetry layer: trace spans, the stats schema, exporters, wiring."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ConfigError,
@@ -14,17 +17,17 @@ from repro import (
     Workspace,
 )
 from repro.api.spec import ExperimentSpec
+from repro.api.workspace import WorkspaceStats
 from repro.cache import CacheServer, RemoteTier
 from repro.cache.stats import CacheStats, TierStats
 from repro.core.context import SolverStats
 from repro.obs import (
     DEFAULT_LATENCY_BOUNDS_MS,
     LATENCY_GROWTH,
-    Counter,
-    Gauge,
+    CounterCell,
     Histogram,
     HistogramSnapshot,
-    MetricsRegistry,
+    MetricSample,
     SpanRecord,
     Tracer,
     build_tree,
@@ -40,9 +43,10 @@ from repro.obs import (
     render_prometheus,
     render_tree,
     samples_from_json,
-    workspace_metrics,
+    stats_samples,
 )
 from repro.planner.store import StoreStats
+from repro.serve.net import LANES, LaneStats, NetServer, NetStats
 from repro.serve.stats import ServiceStats, StatsAccumulator, percentile
 from repro.systems.registry import get_system
 
@@ -355,59 +359,6 @@ class TestHistogram:
             left - right
 
 
-class TestRegistry:
-    def test_counter_monotonic(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ConfigError):
-            counter.inc(-1.0)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(5.0)
-        gauge.add(-2.0)
-        assert gauge.value == 3.0
-
-    def test_instruments_are_idempotent_by_name(self):
-        registry = MetricsRegistry()
-        assert registry.counter("repro.x") is registry.counter("repro.x")
-        assert registry.gauge("repro.y") is registry.gauge("repro.y")
-        assert registry.histogram("repro.z") is registry.histogram(
-            "repro.z"
-        )
-
-    def test_kind_conflict_refused(self):
-        registry = MetricsRegistry()
-        registry.counter("repro.x")
-        with pytest.raises(ConfigError):
-            registry.gauge("repro.x")
-        with pytest.raises(ConfigError):
-            registry.histogram("repro.x")
-
-    def test_empty_name_refused(self):
-        with pytest.raises(ConfigError):
-            MetricsRegistry().counter("")
-
-    def test_snapshot_preserves_registration_order(self):
-        registry = MetricsRegistry()
-        registry.counter("repro.b").inc()
-        registry.gauge("repro.a").set(2)
-        names = [sample.name for sample in registry.snapshot()]
-        assert names == ["repro.b", "repro.a"]
-
-    def test_set_histogram_loads_snapshot_exactly(self):
-        source = Histogram((1.0, 2.0))
-        source.observe(0.5)
-        source.observe(1.5)
-        registry = MetricsRegistry()
-        registry.set_histogram("repro.lat", source.snapshot())
-        (sample,) = registry.snapshot()
-        assert sample.kind == "histogram"
-        assert sample.value == source.snapshot()
-
-
 class TestWorkspaceMetrics:
     def test_counters_exactly_equal_legacy_stats(self, tmp_path):
         workspace = Workspace(tmp_path / "ws")
@@ -416,7 +367,7 @@ class TestWorkspaceMetrics:
         workspace.sweep(spec, max_workers=1)  # warm pass: hits > 0
         stats = workspace.stats
         exposed = parse_prometheus(
-            render_prometheus(workspace_metrics(stats).snapshot())
+            render_prometheus(stats_samples(stats, "repro.workspace."))
         )
         assert exposed["repro_workspace_plan_hits"] == stats.plan_hits
         assert exposed["repro_workspace_plan_misses"] == stats.plan_misses
@@ -458,7 +409,7 @@ class TestWorkspaceMetrics:
             [future.result() for future in futures]
             stats = workspace.stats
             exposed = parse_prometheus(
-                render_prometheus(workspace_metrics(stats).snapshot())
+                render_prometheus(stats_samples(stats, "repro.workspace."))
             )
         assert exposed["repro_serve_requests"] == stats.service.requests
         assert exposed["repro_serve_completed"] == stats.service.completed
@@ -476,7 +427,7 @@ class TestWorkspaceMetrics:
         workspace.sweep(spec, max_workers=1)
         window = workspace.stats.since(before)
         exposed = parse_prometheus(
-            render_prometheus(workspace_metrics(window).snapshot())
+            render_prometheus(stats_samples(window, "repro.workspace."))
         )
         assert exposed["repro_workspace_plan_misses"] == 0
         assert exposed["repro_workspace_plan_hits"] == window.plan_hits > 0
@@ -487,16 +438,17 @@ class TestWorkspaceMetrics:
 
 
 class TestExporters:
-    def sample_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("repro.a.hits", "hits of a").inc(3)
-        registry.gauge("repro.a.bytes").set(1.5)
-        histogram = registry.histogram(
-            "repro.a.latency_ms", bounds=(1.0, 2.0)
-        )
+    def sample_rows(self):
+        histogram = Histogram((1.0, 2.0))
         histogram.observe(0.5)
         histogram.observe(5.0)
-        return registry
+        return (
+            MetricSample("repro.a.hits", "counter", 3.0, "hits of a"),
+            MetricSample("repro.a.bytes", "gauge", 1.5),
+            MetricSample(
+                "repro.a.latency_ms", "histogram", histogram.snapshot()
+            ),
+        )
 
     def test_prometheus_name_mapping(self):
         assert prometheus_name("repro.cache.l1.hits") == (
@@ -505,7 +457,7 @@ class TestExporters:
         assert prometheus_name("a-b.c") == "a_b_c"
 
     def test_exposition_shape(self):
-        text = render_prometheus(self.sample_registry().snapshot())
+        text = render_prometheus(self.sample_rows())
         lines = text.splitlines()
         assert "# HELP repro_a_hits hits of a" in lines
         assert "# TYPE repro_a_hits counter" in lines
@@ -518,7 +470,7 @@ class TestExporters:
         assert "repro_a_latency_ms_count 2" in lines
 
     def test_parse_prometheus_round_trip(self):
-        text = render_prometheus(self.sample_registry().snapshot())
+        text = render_prometheus(self.sample_rows())
         parsed = parse_prometheus(text)
         assert parsed["repro_a_hits"] == 3
         assert parsed['repro_a_latency_ms_bucket{le="+Inf"}'] == 2
@@ -528,7 +480,7 @@ class TestExporters:
             parse_prometheus("this is not exposition")
 
     def test_json_round_trip_is_lossless(self):
-        samples = self.sample_registry().snapshot()
+        samples = self.sample_rows()
         assert samples_from_json(render_json(samples)) == samples
 
     def test_samples_from_json_rejects_garbage(self):
@@ -650,6 +602,279 @@ class TestStatsWindowing:
 
 
 # ---------------------------------------------------------------------------
+# the stats schema: one declaration per field drives windows and exposition
+
+#: nested fields whose default names no type (required, None or ``()``).
+NESTED_TYPES = {
+    "profiles": StoreStats,
+    "service": ServiceStats,
+    "lanes": LaneStats,
+}
+SCHEMA_BOUNDS = (1.0, 2.0, 4.0)
+ALL_STATS_TYPES = (
+    TierStats, CacheStats, StoreStats, SolverStats, ServiceStats,
+    LaneStats, NetStats, WorkspaceStats,
+)
+
+
+def stats_strategy(cls, lane="interactive"):
+    """Any snapshot of one stats type, built from its field declarations.
+
+    Histogram sums stay integral so window arithmetic is exact.
+    """
+    levels = st.integers(0, 10**6)
+    histograms = st.lists(
+        st.integers(0, 50),
+        min_size=len(SCHEMA_BOUNDS) + 1,
+        max_size=len(SCHEMA_BOUNDS) + 1,
+    ).map(
+        lambda counts: HistogramSnapshot(
+            SCHEMA_BOUNDS, tuple(counts), float(3 * sum(counts)),
+            sum(counts),
+        )
+    )
+    kwargs = {}
+    for spec in dataclasses.fields(cls):
+        kind = spec.metadata.get("kind", "counter")
+        if kind == "label":
+            kwargs[spec.name] = st.just(lane)
+        elif kind == "histogram":
+            kwargs[spec.name] = histograms
+        elif kind == "nested":
+            inner = NESTED_TYPES.get(spec.name) or type(spec.default)
+            if spec.default == ():
+                kwargs[spec.name] = st.tuples(
+                    *(stats_strategy(inner, name) for name in LANES)
+                )
+            elif spec.default is None:
+                kwargs[spec.name] = st.none() | stats_strategy(inner)
+            else:
+                kwargs[spec.name] = stats_strategy(inner)
+        else:
+            kwargs[spec.name] = levels
+    return st.builds(cls, **kwargs)
+
+
+def exported_fields(stats, path=(), carried=False):
+    """``(path, kind, value, derived, carried)`` per series, export order.
+
+    Walks the dataclass fields themselves, so a field the schema forgot
+    to export shows up as a missing row.
+    """
+    for spec in dataclasses.fields(stats):
+        kind = spec.metadata.get("kind", "counter")
+        value = getattr(stats, spec.name)
+        if kind == "nested":
+            inner_carried = carried or spec.metadata["carried"]
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from exported_fields(
+                        item, path + (spec.name, item.name), inner_carried
+                    )
+            elif value is not None:
+                yield from exported_fields(
+                    value, path + (spec.name,), inner_carried
+                )
+        elif kind != "label":
+            name = spec.metadata.get("name", spec.name)
+            yield path + (name,), kind, value, False, carried
+    for name, kind in type(stats).derived:
+        yield path + (name,), kind, getattr(stats, name), True, carried
+
+
+def series_kinds(text):
+    """``{series: TYPE}`` and ``{series: HELP}`` of an exposition."""
+    kinds, helps = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split(" ", 3)
+            kinds[name] = kind
+        elif line.startswith("# HELP "):
+            _, _, name, text_ = line.split(" ", 3)
+            helps[name] = text_
+    return kinds, helps
+
+
+TIER_SERIES = {
+    "hits": "counter", "misses": "counter", "fills": "counter",
+    "writes": "counter", "evictions": "counter", "errors": "counter",
+    "entries": "gauge", "bytes": "gauge",
+}
+#: every series of a workspace exposition with a service bound.
+WORKSPACE_SERIES = {
+    **{
+        f"repro_workspace_{name}": "counter"
+        for name in (
+            "plan_hits", "plan_misses", "profile_hits", "profile_misses",
+            "profile_cluster_hits", "profile_cluster_misses",
+            "profile_layer_hits", "profile_layer_misses",
+        )
+    },
+    **{
+        f"repro_cache_{tier}_{name}": kind
+        for tier in ("l1", "l2", "l3", "profiles_remote")
+        for name, kind in TIER_SERIES.items()
+    },
+    **{
+        f"repro_solver_{name}": "counter"
+        for name in (
+            "solves", "cache_hits", "batch_calls", "evictions",
+            "step2_objective_calls", "step2_candidates",
+        )
+    },
+    "repro_solver_max_batch_size": "gauge",
+    **{
+        f"repro_serve_{name}": "counter"
+        for name in (
+            "requests", "completed", "failed", "rejected", "dedup_hits",
+            "resolved", "batches", "coalesced_requests", "futures_evicted",
+        )
+    },
+    **{
+        f"repro_serve_{name}": "gauge"
+        for name in ("max_batch", "p50_latency_ms", "p95_latency_ms")
+    },
+    "repro_serve_latency_ms": "histogram",
+}
+#: every series of a NetServer exposition; ``peak_depth`` is new.
+NET_SERIES = {
+    **{
+        f"repro_net_{name}": "counter"
+        for name in (
+            "connections", "frames", "requests", "completed", "failed",
+            "internal_errors", "shed", "drained", "dropped",
+            "protocol_errors", "backpressure_waits",
+        )
+    },
+    "repro_net_open_connections": "gauge",
+    **{
+        f"repro_net_lane_{lane}_{name}": kind
+        for lane in ("interactive", "batch")
+        for name, kind in (
+            ("admitted", "counter"), ("shed", "counter"),
+            ("depth", "gauge"), ("peak_depth", "gauge"),
+        )
+    },
+}
+NET_HELP = {
+    f"repro_net_lane_{lane}_{name}": text
+    for lane in ("interactive", "batch")
+    for name, text in (
+        ("admitted", "requests admitted"),
+        ("shed", "requests shed at a full lane"),
+        ("depth", "queued requests in this lane"),
+        ("peak_depth", "high-water queue depth of this lane"),
+    )
+}
+#: a CacheServer exposes its store's TierStats; fills/writes/errors are
+#: new (always 0: the server's LRU neither fills nor fails).
+CACHE_SERVER_SERIES = {
+    f"repro_cache_server_{name}": kind for name, kind in TIER_SERIES.items()
+}
+
+
+class TestStatsSchema:
+    @pytest.mark.parametrize(
+        "cls", ALL_STATS_TYPES, ids=lambda cls: cls.__name__
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_windows_and_exposition_follow_the_declaration(self, cls, data):
+        strategy = stats_strategy(cls)
+        a, b, c = data.draw(strategy), data.draw(strategy), data.draw(strategy)
+        first, second, whole = b - a, c - b, c.since(a)
+
+        def values(stats):
+            return {row[0]: row[2] for row in exported_fields(stats)}
+
+        later = values(c)
+        first_rows, second_rows = values(first), values(second)
+        for path, kind, value, derived, carried in exported_fields(whole):
+            if carried or (kind == "gauge" and not derived):
+                assert value == later[path], path
+            elif kind == "counter":
+                assert first_rows[path] + second_rows[path] == value, path
+            elif kind == "histogram":
+                assert first_rows[path].merge(second_rows[path]) == value
+        # every declared field is a series, and the exposition carries
+        # its exact typed value
+        rows = stats_samples(whole, "repro.t.")
+        expected = list(exported_fields(whole))
+        assert len(rows) == len(expected)
+        exposed = parse_prometheus(render_prometheus(rows))
+        for row, (path, kind, value, _, _) in zip(rows, expected):
+            assert row.kind == kind and row.name.endswith(path[-1])
+            series = prometheus_name(row.name)
+            if kind == "histogram":
+                assert exposed[f"{series}_count"] == value.count
+                assert exposed[f"{series}_sum"] == value.sum
+            else:
+                assert exposed[series] == value, series
+
+    def test_samples_follow_declared_field_order(self):
+        rows = stats_samples(
+            SolverStats(solves=3, max_batch_size=7), "repro.solver."
+        )
+        assert [row.name for row in rows] == [
+            f"repro.solver.{spec.name}"
+            for spec in dataclasses.fields(SolverStats)
+        ]
+        assert rows[0].value == 3.0 and rows[3].kind == "gauge"
+
+    def test_histogram_field_exports_snapshot_exactly(self):
+        accumulator = StatsAccumulator()
+        accumulator.resolve_cached(latency_ms=0.5)
+        accumulator.resolve_cached(latency_ms=1.5)
+        stats = accumulator.snapshot()
+        (row,) = [
+            row for row in stats_samples(stats, "repro.serve.")
+            if row.kind == "histogram"
+        ]
+        assert row.name == "repro.serve.latency_ms"
+        assert row.value == stats.latency
+
+    def test_counter_cell_counts_declared_counters_atomically(self):
+        cell = CounterCell(NetStats)
+        cell.inc("failed", "protocol_errors")
+        cell.inc("requests")
+        snapshot = cell.snapshot(open_connections=2)
+        assert snapshot.failed == snapshot.protocol_errors == 1
+        assert snapshot.requests == 1 and snapshot.open_connections == 2
+        assert "open_connections" not in cell.counts()
+        with pytest.raises(KeyError):
+            cell.inc("open_connections")  # a gauge, not a counter
+        cell.reset()
+        assert cell.snapshot() == NetStats()
+
+    def test_exposition_series_are_pinned(self, tmp_path):
+        workspace = Workspace(tmp_path / "ws")
+        with PlanService(workspace):
+            kinds, helps = series_kinds(
+                render_prometheus(
+                    stats_samples(workspace.stats, "repro.workspace.")
+                )
+            )
+        assert kinds == WORKSPACE_SERIES
+        assert helps == {
+            "repro_serve_latency_ms": "submission-to-resolution latency (ms)"
+        }
+        server = NetServer(Workspace(tmp_path / "net"))
+        try:
+            assert series_kinds(server.exposition()) == (
+                NET_SERIES, NET_HELP,
+            )
+        finally:
+            server.close()
+        cache = CacheServer()
+        try:
+            assert series_kinds(cache.exposition()) == (
+                CACHE_SERVER_SERIES, {},
+            )
+        finally:
+            cache.close()
+
+
+# ---------------------------------------------------------------------------
 # workspace/planner/serving wiring
 
 
@@ -687,14 +912,18 @@ class TestWorkspaceTracing:
         assert "l1_probe" in children  # missed, stayed a probe
         assert "compile" in children
         compile_record = next(r for r in records if r.name == "compile")
-        # The solver memo is process-wide: an earlier test may have
-        # warmed these contexts, so assert the windowed counters are
-        # present and account for the work either way.
+        # A fresh workspace has its own solver context, so the compile
+        # span's window is all of this session's solver work, exactly.
         attrs = compile_record.attrs
-        assert {
-            "solver_solves", "solver_cache_hits", "solver_batch_calls",
-        } <= set(attrs)
-        assert attrs["solver_solves"] + attrs["solver_cache_hits"] >= 1
+        solver = workspace.stats.solver
+        assert (
+            attrs["solver_solves"],
+            attrs["solver_cache_hits"],
+            attrs["solver_batch_calls"],
+        ) == (solver.solves, solver.cache_hits, solver.batch_calls)
+        assert (solver.solves, solver.cache_hits, solver.batch_calls) == (
+            2, 3, 1,
+        )
         assert any(r.name == "solve_degrees" for r in records)
         assert plan.attrs["digest"]
         assert plan.attrs["layers"] == 1

@@ -5,11 +5,13 @@ import pytest
 from repro.config import standard_layout
 from repro.core.profiler import profile_cluster
 from repro.parallel.collectives import A2AAlgorithm, CollectiveCostModel
-from repro.parallel.topology import testbed_a, testbed_b
+from repro.parallel import topology
 
 
 class TestNoiseFreeFit:
-    @pytest.mark.parametrize("factory", [testbed_a, testbed_b])
+    @pytest.mark.parametrize(
+        "factory", [topology.testbed_a, topology.testbed_b]
+    )
     def test_recovers_oracle_exactly(self, factory):
         cluster = factory()
         parallel = standard_layout(cluster.total_gpus, cluster.gpus_per_node)
@@ -27,7 +29,7 @@ class TestNoiseFreeFit:
         )
 
     def test_r_squared_is_one_without_noise(self):
-        cluster = testbed_b()
+        cluster = topology.testbed_b()
         parallel = standard_layout(32, 4)
         result = profile_cluster(cluster, parallel)
         for name, r2 in result.r_squared.items():
@@ -37,14 +39,14 @@ class TestNoiseFreeFit:
 class TestNoisyFit:
     def test_fig5_quality_r2(self):
         """Paper Fig. 5: r-squared >= 0.998 for comm, 0.9987 for GEMM."""
-        cluster = testbed_b()
+        cluster = topology.testbed_b()
         parallel = standard_layout(32, 4)
         result = profile_cluster(cluster, parallel, noise=0.02, seed=7)
         for name, r2 in result.r_squared.items():
             assert r2 > 0.99, (name, r2)
 
     def test_seed_determinism(self):
-        cluster = testbed_a()
+        cluster = topology.testbed_a()
         parallel = standard_layout(48, 8)
         r1 = profile_cluster(cluster, parallel, noise=0.05, seed=3)
         r2 = profile_cluster(cluster, parallel, noise=0.05, seed=3)
@@ -53,7 +55,7 @@ class TestNoisyFit:
         assert r1.models.a2a != r3.models.a2a
 
     def test_samples_recorded_per_op(self):
-        cluster = testbed_b()
+        cluster = topology.testbed_b()
         parallel = standard_layout(32, 4)
         result = profile_cluster(cluster, parallel)
         assert set(result.samples) == {
@@ -65,7 +67,7 @@ class TestNoisyFit:
 
 class TestAlgorithmChoice:
     def test_profiles_selected_a2a_algorithm(self):
-        cluster = testbed_b()
+        cluster = topology.testbed_b()
         parallel = standard_layout(32, 4)
         direct = profile_cluster(cluster, parallel, a2a_algorithm=A2AAlgorithm.NCCL)
         hier = profile_cluster(

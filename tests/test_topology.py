@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.parallel.topology import (
-    LinkSpec,
-    TESTBEDS,
-    testbed_a,
-    testbed_b,
-)
+from repro.parallel import topology
+from repro.parallel.topology import TESTBEDS, LinkSpec
 
 
 class TestLinkSpec:
@@ -26,14 +22,14 @@ class TestLinkSpec:
 
 class TestTestbeds:
     def test_testbed_a_matches_paper_table3(self):
-        a = testbed_a()
+        a = topology.testbed_a()
         assert a.num_nodes == 6
         assert a.gpus_per_node == 8
         assert a.total_gpus == 48
         assert "A6000" in a.node.gpu.name
 
     def test_testbed_b_matches_paper_table3(self):
-        b = testbed_b()
+        b = topology.testbed_b()
         assert b.num_nodes == 8
         assert b.gpus_per_node == 4
         assert b.total_gpus == 32
@@ -42,12 +38,12 @@ class TestTestbeds:
     def test_startup_latencies_from_fig5(self):
         # Fig. 5 fitted alphas at the training EP group: base startup plus
         # one per-peer message latency per peer.
-        a = testbed_a()
+        a = topology.testbed_a()
         alpha_a = a.inter_link.startup_ms + a.a2a_per_peer_ms * (
             a.num_nodes - 1
         )
         assert alpha_a == pytest.approx(0.28)  # paper: 2.87e-1
-        b = testbed_b()
+        b = topology.testbed_b()
         alpha_b = b.inter_link.startup_ms + b.a2a_per_peer_ms * (
             b.num_nodes - 1
         )
@@ -58,14 +54,14 @@ class TestTestbeds:
         assert TESTBEDS["A"]().name == "Testbed-A"
 
     def test_efficiencies_within_unit(self):
-        for cluster in (testbed_a(), testbed_b()):
+        for cluster in (topology.testbed_a(), topology.testbed_b()):
             assert 0 < cluster.a2a_efficiency <= 1
             assert 0 < cluster.allreduce_efficiency <= 1
 
 
 class TestScaledTo:
     def test_whole_nodes(self):
-        a = testbed_a()
+        a = topology.testbed_a()
         small = a.scaled_to(16)
         assert small.num_nodes == 2
         assert small.total_gpus == 16
@@ -74,8 +70,8 @@ class TestScaledTo:
 
     def test_rejects_partial_node(self):
         with pytest.raises(TopologyError):
-            testbed_a().scaled_to(12)
+            topology.testbed_a().scaled_to(12)
 
     def test_rejects_oversubscription(self):
         with pytest.raises(TopologyError):
-            testbed_b().scaled_to(64)
+            topology.testbed_b().scaled_to(64)
