@@ -497,49 +497,57 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_listen(args) -> int:
-    """``serve --listen``: a NetServer in the foreground until a signal.
+def _serve_in_foreground(server, banner: str) -> None:
+    """Print ``banner``, then block until SIGINT or SIGTERM arrives or
+    the server closes.
 
-    SIGINT (Ctrl-C) and SIGTERM (systemd/k8s/CI shutdown) both trigger
-    the same graceful drain; SIGTERM matters because shells start
-    backgrounded jobs with SIGINT ignored.
+    Both signals stop the same way: the caller then closes the server,
+    which drains.  SIGTERM matters because shells start backgrounded
+    jobs with SIGINT ignored; its handler is in place before the banner
+    tells anyone the address.  The main thread polls :meth:`wait`
+    rather than blocking in it, so any other signal handler the process
+    installed runs promptly.
     """
     import signal
     import threading
 
-    from ..cache.remote import parse_address
+    stop = threading.Event()
+    previous = signal.signal(
+        signal.SIGTERM, lambda signum, frame: stop.set()
+    )
+    try:
+        # flushed, so scripts (and the benchmarks) can read the bound
+        # port before any traffic arrives
+        print(banner, flush=True)
+        while not stop.is_set() and not server.wait(timeout_s=0.2):
+            pass
+    except KeyboardInterrupt:
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _serve_listen(args) -> int:
+    """``serve --listen``: a NetServer in the foreground until a signal,
+    then a graceful drain."""
+    from ..rpc import parse_address
     from ..serve import NetServer
 
     host, port = parse_address(args.listen)
-    stop = threading.Event()
-
-    def _request_stop(signum, frame):
-        stop.set()
-
-    previous = signal.signal(signal.SIGTERM, _request_stop)
-    try:
-        with contextlib.ExitStack() as resources:
-            workspace = _open_workspace(args, resources)
-            server = NetServer(
-                workspace,
-                host=host,
-                port=port,
-                flush_ms=args.flush_ms,
-                capacity=args.capacity,
-                workers=args.workers,
-            )
-            resources.callback(server.close)
-            address = server.start()
-            print(f"plan server listening on {address}", flush=True)
-            try:
-                while not stop.is_set():
-                    if server.wait(timeout_s=0.2):
-                        break
-            except KeyboardInterrupt:
-                pass
-            print("draining...", file=sys.stderr, flush=True)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    with contextlib.ExitStack() as resources:
+        workspace = _open_workspace(args, resources)
+        server = NetServer(
+            workspace,
+            host=host,
+            port=port,
+            flush_ms=args.flush_ms,
+            capacity=args.capacity,
+            workers=args.workers,
+        )
+        resources.callback(server.close)
+        address = server.start()
+        _serve_in_foreground(server, f"plan server listening on {address}")
+        print("draining...", file=sys.stderr, flush=True)
     return 0
 
 
@@ -788,7 +796,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_cache_serve(args) -> int:
-    """Run a blocking shared cache server (the L3 tier)."""
+    """Run a shared cache server (the L3 tier) until SIGINT or SIGTERM."""
     from ..cache import CacheServer
 
     server = CacheServer(
@@ -797,13 +805,9 @@ def _cmd_cache_serve(args) -> int:
         max_entries=args.max_entries if args.max_entries else 4096,
         max_bytes=args.max_bytes if args.max_bytes else 256 * 1024 * 1024,
     )
-    # The address line goes first and flushed, so scripts (and the
-    # benchmarks) can read the bound port before any traffic arrives.
-    print(f"cache server listening on {server.address}", flush=True)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
+        address = server.start()
+        _serve_in_foreground(server, f"cache server listening on {address}")
     finally:
         server.close()
     return 0

@@ -10,24 +10,21 @@ The workspace answers every plan/profile lookup through a tier stack:
   profile (``profiles/<digest>.json``, written once, lock-free).
 * **L3** -- optionally, a shared :class:`CacheServer` reached through
   :class:`RemoteTier`, so a fleet of processes warms each other
-  (:mod:`repro.cache.remote`).
+  (:mod:`repro.cache.remote`, on the JSON-lines kernel of
+  :mod:`repro.rpc`).
 
 Misses fall through tier by tier; hits fill back up (read-through);
 fresh computations write through.  Every movement is counted exactly by
 :class:`TierStats`/:class:`CacheStats` (:mod:`repro.cache.stats`).
 
-This package is deliberately standalone (stdlib only, no imports from
-``repro.api`` or ``repro.serve``) so the workspace layer can build on
-it without an import cycle.
+This package is deliberately standalone (stdlib plus :mod:`repro.rpc`
+and :mod:`repro.obs`, no imports from ``repro.api`` or ``repro.serve``)
+so the workspace layer can build on it without an import cycle.
 """
 
+from ..rpc import parse_address
 from .lru import DEFAULT_MAX_BYTES, DEFAULT_MAX_ENTRIES, LRUCache
-from .remote import (
-    CACHE_SCHEMA_VERSION,
-    CacheServer,
-    RemoteTier,
-    parse_address,
-)
+from .remote import CACHE_SCHEMA_VERSION, CacheServer, RemoteTier
 from .stats import CacheStats, TierStats
 
 __all__ = [

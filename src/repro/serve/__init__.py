@@ -9,7 +9,8 @@ advisory file locks -- across processes), and answers each caller's
 plans ``Workspace.plan`` would return one at a time.
 
 :class:`NetServer` puts that service on the network -- a JSON-lines
-wire protocol (:mod:`repro.serve.protocol`) with priority lanes,
+wire protocol (:mod:`repro.serve.protocol`, on the RPC kernel
+:mod:`repro.rpc` the cache server shares) with priority lanes,
 per-client fairness, shed-with-``retry_after_ms`` backpressure and
 graceful drain -- and :class:`NetClient` is its persistent,
 retry-with-backoff counterpart.

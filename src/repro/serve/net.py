@@ -4,10 +4,11 @@
 :mod:`repro.serve.protocol` on one coalescing
 :class:`~repro.serve.service.PlanService`:
 
-* **framing** -- one JSON object per line, hand-buffered (not
-  ``readline``) so an oversized or truncated line gets a structured
-  ``oversized-line`` refusal and a clean resync instead of a dead
-  connection;
+* **transport** -- the RPC kernel :class:`~repro.rpc.LineServer`
+  (framing with the ``oversized-line`` refusal and resync, the frame
+  gate, the ``internal`` last line of defense, the background-loop
+  lifecycle and the transport counters), shared with the L3
+  :class:`~repro.cache.remote.CacheServer`;
 * **backpressure that sheds, never raises** -- requests queue in
   bounded priority lanes; a full lane (or per-client bound) answers
   ``shed`` with ``retry_after_ms`` instead of surfacing
@@ -30,10 +31,10 @@ Every behavior is an exact counter (:class:`NetStats`); the invariant
 ``requests == completed + failed + shed + drained`` holds at every
 quiescent instant and the fault-injection suite asserts it exactly.
 
-:class:`NetClient` is the sync counterpart: one persistent socket,
-transport reconnects and overload retries through one shared
-:class:`~repro.serve.protocol.Backoff`, honoring the server's
-``retry_after_ms``.
+:class:`NetClient` is the sync counterpart: the kernel's
+:class:`~repro.rpc.LineClient` (one persistent socket, reconnects
+through :class:`~repro.rpc.Backoff`) plus overload retries through the
+same policy, honoring the server's ``retry_after_ms``.
 """
 
 from __future__ import annotations
@@ -41,14 +42,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
 from ..cache import LRUCache
-from ..cache.remote import parse_address
 from ..errors import (
     ConfigError,
     ProtocolError,
@@ -59,7 +57,6 @@ from ..errors import (
 )
 from ..obs.export import render_prometheus
 from ..obs.metrics import (
-    CounterCell,
     Stats,
     counter,
     gauge,
@@ -67,14 +64,11 @@ from ..obs.metrics import (
     nested,
     stats_samples,
 )
+from ..rpc import LineClient, LineServer, Peer
 from .protocol import (
-    E_BAD_FRAME,
-    E_BAD_JSON,
     E_BAD_REQUEST,
-    E_BAD_SCHEMA,
     E_DRAINING,
     E_INTERNAL,
-    E_OVERSIZED,
     E_PLAN_FAILED,
     E_SHED,
     E_UNKNOWN_OP,
@@ -82,7 +76,6 @@ from .protocol import (
     PROTOCOL_SCHEMA_VERSION,
     RETRYABLE_CODES,
     Backoff,
-    encode_frame,
     error_response,
     ok_response,
     parse_plan_payload,
@@ -131,6 +124,9 @@ class LaneStats(Stats):
 @dataclass(frozen=True)
 class NetStats(Stats):
     """Exact counters of one :class:`NetServer`.
+
+    The kernel's :class:`~repro.rpc.TransportStats` fields
+    (``connections`` through ``protocol_errors``) plus the plan lanes.
 
     Attributes:
         connections: client connections accepted, lifetime.
@@ -183,8 +179,7 @@ class NetStats(Stats):
 class _Pending:
     """One admitted plan request awaiting dispatch/response."""
 
-    client: int
-    writer: asyncio.StreamWriter
+    peer: Peer
     request_id: object
     request: object  # PlanRequest
     priority: str
@@ -214,32 +209,30 @@ class _Lane:
 
     def push(self, item: _Pending) -> bool:
         """Admit one request; False (a shed) when a bound is hit."""
-        queue = self.queues.get(item.client)
+        queue = self.queues.get(item.peer.client)
         if self.depth >= self.capacity or (
             queue is not None and len(queue) >= self.per_client
         ):
             self.shed += 1
             return False
-        if queue is None:
-            queue = deque()
-            self.queues[item.client] = queue
-            self.order.append(item.client)
-        queue.append(item)
-        self.depth += 1
-        self.peak_depth = max(self.peak_depth, self.depth)
+        self._queue(item.peer.client, self.order.append).append(item)
         self.admitted += 1
         return True
 
     def push_front(self, item: _Pending) -> None:
         """Requeue a popped request at the front (backpressure hold)."""
-        queue = self.queues.get(item.client)
+        self._queue(item.peer.client, self.order.appendleft).appendleft(item)
+
+    def _queue(self, client: int, enroll) -> deque:
+        """``client``'s queue, ``enroll``-ing a new one in the order;
+        counts the item about to join it."""
+        queue = self.queues.get(client)
         if queue is None:
-            queue = deque()
-            self.queues[item.client] = queue
-            self.order.appendleft(item.client)
-        queue.appendleft(item)
+            queue = self.queues[client] = deque()
+            enroll(client)
         self.depth += 1
         self.peak_depth = max(self.peak_depth, self.depth)
+        return queue
 
     def pop(self) -> _Pending | None:
         """The next request, round-robin across clients; None when empty."""
@@ -269,13 +262,15 @@ class _Lane:
         )
 
 
-class NetServer:
+class NetServer(LineServer):
     """Serve the plan wire protocol from one PlanService.
 
-    The server runs an asyncio event loop on a background thread
-    (:meth:`start`), so it embeds in tests and synchronous programs the
-    same way :class:`~repro.cache.remote.CacheServer` does;
-    ``repro serve --listen`` starts one and blocks on :meth:`wait`.
+    The server is the RPC kernel :class:`~repro.rpc.LineServer` -- an
+    asyncio event loop on a background thread (:meth:`start`), so it
+    embeds in tests and synchronous programs the same way
+    :class:`~repro.cache.remote.CacheServer` does -- plus the plan op,
+    its lanes and dispatcher; ``repro serve --listen`` starts one and
+    blocks on :meth:`wait`.
 
     Args:
         workspace: when given, the server creates (and owns -- closes
@@ -296,10 +291,18 @@ class NetServer:
         max_line_bytes: request-line bound; longer lines are refused
             with ``oversized-line`` and skipped.
 
+    :meth:`close` with ``drain=True`` answers everything already
+    admitted first; with ``drain=False`` queued requests are answered
+    ``draining`` at once.  Latecomers get ``draining`` either way, and an
+    owned service is closed with the same ``drain``.
+
     Raises:
         ConfigError: for neither/both of ``workspace``/``service`` or a
             non-positive bound.
     """
+
+    stats_type = NetStats
+    thread_name = "repro-net-server"
 
     def __init__(
         self,
@@ -330,25 +333,23 @@ class NetServer:
             raise ConfigError(
                 f"shed_retry_ms must be > 0, got {shed_retry_ms}"
             )
-        if max_line_bytes < 2:
-            raise ConfigError(
-                f"max_line_bytes must be >= 2, got {max_line_bytes}"
-            )
         if service is not None and service_kw:
             raise ConfigError(
                 f"service_kw {sorted(service_kw)} only apply when the "
                 f"server creates the service (workspace=...)"
             )
+        super().__init__(
+            host,
+            port,
+            schema=PROTOCOL_SCHEMA_VERSION,
+            max_line_bytes=max_line_bytes,
+        )
         self._owns_service = service is None
         self._service = (
             PlanService(workspace, **service_kw) if service is None
             else service
         )
-        self._host = host
-        self._port = port
         self._shed_retry_ms = float(shed_retry_ms)
-        self._max_line_bytes = max_line_bytes
-        self._counts = CounterCell(NetStats)
         self._lanes = {
             name: _Lane(name, lane_capacity, per_client) for name in LANES
         }
@@ -364,21 +365,10 @@ class NetServer:
         )
         self._cycle_pos = 0
         self._parse_cache = LRUCache(1024, None)
-        self._client_ids = itertools.count(1)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._aserver: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
         self._inflight: set[asyncio.Task] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         self._wake: asyncio.Event | None = None
         self._draining = False
-        self._started = threading.Event()
-        self._stopped = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._bound: tuple[str, int] | None = None
-        self._closed = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -387,97 +377,14 @@ class NetServer:
         """The fronted (or owned) :class:`PlanService`."""
         return self._service
 
-    @property
-    def address(self) -> str:
-        """The connectable ``host:port`` (with the bound port resolved)."""
-        if self._bound is None:
-            raise ServiceError("NetServer has not been started")
-        host, port = self._bound
-        return f"{host}:{port}"
-
-    def start(self) -> str:
-        """Serve on a background thread; returns the bound address."""
-        if self._closed:
-            raise ServiceClosedError("NetServer is closed")
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._thread_main,
-                name="repro-net-server",
-                daemon=True,
-            )
-            self._thread.start()
-            self._started.wait()
-            if self._startup_error is not None:
-                self._thread.join()
-                self._thread = None
-                raise self._startup_error
-        return self.address
-
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._startup())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        loop.run_forever()
-        loop.run_until_complete(loop.shutdown_asyncgens())
-        loop.close()
-
-    async def _startup(self) -> None:
+    async def _on_start(self) -> None:
         self._wake = asyncio.Event()
-        self._aserver = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
-        )
-        sock = self._aserver.sockets[0]
-        self._bound = sock.getsockname()[:2]
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop()
         )
 
-    def wait(self, timeout_s: float | None = None) -> bool:
-        """Block until :meth:`close` finishes (the CLI's foreground mode)."""
-        return self._stopped.wait(timeout_s)
-
-    def close(self, *, drain: bool = True, timeout_s: float = 60.0) -> None:
-        """Stop serving (idempotent).
-
-        Args:
-            drain: answer everything already admitted first; refused
-                latecomers get ``draining`` either way.  With
-                ``drain=False`` queued requests are answered
-                ``draining`` immediately instead of being resolved.
-            timeout_s: bound on the drain phase.
-
-        An owned service (``workspace=`` construction) is closed too,
-        with the same ``drain``.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._thread is not None and self._loop is not None:
-            future = asyncio.run_coroutine_threadsafe(
-                self._shutdown(drain, timeout_s), self._loop
-            )
-            try:
-                future.result(timeout=timeout_s + 5.0)
-            finally:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-                self._thread.join(timeout=10.0)
-        if self._owns_service:
-            self._service.close(drain=drain)
-        self._stopped.set()
-
-    async def _shutdown(self, drain: bool, timeout_s: float) -> None:
+    async def _on_drain(self, drain: bool, deadline: float) -> None:
         self._draining = True
-        if self._aserver is not None:
-            self._aserver.close()
-        deadline = time.monotonic() + timeout_s
         if drain:
             while (
                 any(lane.depth for lane in self._lanes.values())
@@ -487,22 +394,10 @@ class NetServer:
                 await asyncio.sleep(0.005)
         else:
             for lane in self._lanes.values():
-                while True:
-                    item = lane.pop()
-                    if item is None:
-                        break
-                    self._counts.inc("drained")
-                    await self._respond(
-                        item,
-                        error_response(
-                            E_DRAINING,
-                            "server is shutting down",
-                            request_id=item.request_id,
-                            retry_after_ms=self._retry_ms[
-                                item.priority
-                            ],
-                        ),
-                        outcome="drained",
+                while (item := lane.pop()) is not None:
+                    self._refuse_item(
+                        item, "drained", E_DRAINING,
+                        "server is shutting down", "drained",
                     )
             if self._inflight:
                 await asyncio.wait(
@@ -514,34 +409,17 @@ class NetServer:
             await asyncio.gather(
                 self._dispatcher, return_exceptions=True
             )
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(
-                *self._conn_tasks, return_exceptions=True
-            )
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - close race
-                pass
-        if self._aserver is not None:
-            await self._aserver.wait_closed()
 
-    def __enter__(self) -> "NetServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close(drain=True)
+    def _on_close(self, drain: bool) -> None:
+        if self._owns_service:
+            self._service.close(drain=drain)
 
     # -- stats ---------------------------------------------------------------
 
     def stats_snapshot(self) -> NetStats:
         """Exact network-tier counters at this instant (thread-safe)."""
-        lanes = tuple(self._lanes[name].stats() for name in LANES)
-        return self._counts.snapshot(
-            open_connections=len(self._writers), lanes=lanes
+        return self._snapshot(
+            lanes=tuple(self._lanes[name].stats() for name in LANES)
         )
 
     #: property alias mirroring ``PlanService.stats``.
@@ -553,184 +431,37 @@ class NetServer:
             stats_samples(self.stats_snapshot(), "repro.net.")
         )
 
-    # -- connection handling -------------------------------------------------
+    # -- ops -----------------------------------------------------------------
 
-    async def _handle_conn(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        client = next(self._client_ids)
-        self._counts.inc("connections")
-        self._writers.add(writer)
-        buf = bytearray()
-        discarding = False
-        try:
-            while True:
-                newline = buf.find(b"\n")
-                if newline < 0:
-                    if discarding:
-                        buf.clear()
-                    elif len(buf) > self._max_line_bytes:
-                        self._counts.inc("protocol_errors")
-                        await self._send(
-                            writer,
-                            error_response(
-                                E_OVERSIZED,
-                                f"request line exceeds "
-                                f"{self._max_line_bytes} bytes",
-                            ),
-                        )
-                        discarding = True
-                        buf.clear()
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        return
-                    buf += chunk
-                    continue
-                line = bytes(buf[:newline])
-                del buf[: newline + 1]
-                if discarding:
-                    # the tail of an already-refused oversized line
-                    discarding = False
-                    continue
-                if len(line) > self._max_line_bytes:
-                    self._counts.inc("protocol_errors")
-                    await self._send(
-                        writer,
-                        error_response(
-                            E_OVERSIZED,
-                            f"request line exceeds "
-                            f"{self._max_line_bytes} bytes",
-                        ),
-                    )
-                    continue
-                if not line.strip():
-                    continue
-                try:
-                    await self._handle_line(client, writer, line)
-                except (ConnectionError, OSError, asyncio.CancelledError):
-                    raise
-                except Exception as exc:
-                    # the last line of defense: a defect while handling
-                    # one frame answers `internal`, never kills the
-                    # connection (the fuzz suite's no-death guarantee).
-                    self._counts.inc("internal_errors")
-                    await self._send(
-                        writer,
-                        error_response(
-                            E_INTERNAL,
-                            f"{type(exc).__name__}: {exc}",
-                        ),
-                    )
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            # a vanished client just ends its connection; queued work
-            # for it resolves normally and its responses count as
-            # dropped when the write fails.
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - close race
-                pass
-            if task is not None:
-                self._conn_tasks.discard(task)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, response: dict
-    ) -> bool:
-        """Write one response frame; False when the client is gone."""
-        if writer.is_closing():
-            return False
-        try:
-            writer.write(encode_frame(response))
-            await writer.drain()
-            return True
-        except (ConnectionError, OSError, RuntimeError):
-            return False
-
-    async def _handle_line(
-        self,
-        client: int,
-        writer: asyncio.StreamWriter,
-        line: bytes,
-    ) -> None:
-        self._counts.inc("frames")
-        try:
-            data = json.loads(line)
-        except ValueError:
-            self._counts.inc("protocol_errors")
-            await self._send(
-                writer, error_response(E_BAD_JSON, "invalid JSON")
-            )
-            return
-        if not isinstance(data, dict):
-            self._counts.inc("protocol_errors")
-            await self._send(
-                writer,
-                error_response(E_BAD_FRAME, "expected a JSON object"),
-            )
-            return
-        request_id = data.get("id")
-        if data.get("schema") != PROTOCOL_SCHEMA_VERSION:
-            self._counts.inc("protocol_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_BAD_SCHEMA,
-                    f"schema {data.get('schema')!r} refused; this "
-                    f"server speaks schema {PROTOCOL_SCHEMA_VERSION}",
-                    request_id=request_id,
-                ),
-            )
-            return
-        op = data.get("op")
+    def handle(self, request: dict, peer: Peer | None) -> dict | None:
+        """Answer ``ping``/``stats``/``metrics``; admit ``plan`` to a lane."""
+        request_id = request.get("id")
+        op = request.get("op")
         if op == "plan":
-            await self._handle_plan(client, writer, request_id, data)
-        elif op == "ping":
-            await self._send(
-                writer, ok_response(request_id, pong=True)
-            )
-        elif op == "stats":
+            return self._admit_plan(peer, request_id, request)
+        if op == "ping":
+            return ok_response(request_id, pong=True)
+        if op == "stats":
             service = self._service.stats_snapshot()
-            await self._send(
-                writer,
-                ok_response(
-                    request_id,
-                    net=self.stats_snapshot().to_dict(),
-                    service={
-                        "requests": service.requests,
-                        "completed": service.completed,
-                        "failed": service.failed,
-                        "rejected": service.rejected,
-                        "dedup_hits": service.dedup_hits,
-                        "resolved": service.resolved,
-                        "batches": service.batches,
-                        "max_batch": service.max_batch,
-                        "p50_latency_ms": service.p50_latency_ms,
-                        "p95_latency_ms": service.p95_latency_ms,
-                    },
-                ),
+            return ok_response(
+                request_id,
+                net=self.stats_snapshot().to_dict(),
+                service={
+                    "requests": service.requests,
+                    "completed": service.completed,
+                    "failed": service.failed,
+                    "rejected": service.rejected,
+                    "dedup_hits": service.dedup_hits,
+                    "resolved": service.resolved,
+                    "batches": service.batches,
+                    "max_batch": service.max_batch,
+                    "p50_latency_ms": service.p50_latency_ms,
+                    "p95_latency_ms": service.p95_latency_ms,
+                },
             )
-        elif op == "metrics":
-            await self._send(
-                writer,
-                ok_response(request_id, exposition=self.exposition()),
-            )
-        else:
-            self._counts.inc("protocol_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_UNKNOWN_OP,
-                    f"unknown op {op!r}",
-                    request_id=request_id,
-                ),
-            )
+        if op == "metrics":
+            return ok_response(request_id, exposition=self.exposition())
+        return self.refuse(E_UNKNOWN_OP, f"unknown op {op!r}", request_id)
 
     def _parse_payload(self, payload: object):
         """Parse (with a small memo: wire streams repeat heavily)."""
@@ -749,89 +480,61 @@ class NetServer:
             self._parse_cache.put(key, request)
         return request
 
-    async def _handle_plan(
-        self,
-        client: int,
-        writer: asyncio.StreamWriter,
-        request_id: object,
-        data: dict,
-    ) -> None:
+    def _admit_plan(
+        self, peer: Peer, request_id: object, data: dict
+    ) -> dict | None:
+        """Queue one plan request (None) or answer its refusal."""
         self._counts.inc("requests")
         priority = data.get("priority", "interactive")
         if priority not in self._lanes:
-            self._counts.inc("failed", "protocol_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_BAD_REQUEST,
-                    f"unknown priority {priority!r}; expected one of "
-                    f"{list(LANES)}",
-                    request_id=request_id,
-                ),
+            return self.refuse(
+                E_BAD_REQUEST,
+                f"unknown priority {priority!r}; expected one of "
+                f"{list(LANES)}",
+                request_id,
+                "failed",
             )
-            return
         detail = data.get("detail", "summary")
         if detail not in ("summary", "plan"):
-            self._counts.inc("failed", "protocol_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_BAD_REQUEST,
-                    f"unknown detail {detail!r}; expected 'summary' "
-                    f"or 'plan'",
-                    request_id=request_id,
-                ),
+            return self.refuse(
+                E_BAD_REQUEST,
+                f"unknown detail {detail!r}; expected 'summary' or 'plan'",
+                request_id,
+                "failed",
             )
-            return
         if self._draining:
             self._counts.inc("drained")
-            await self._send(
-                writer,
-                error_response(
-                    E_DRAINING,
-                    "server is draining and takes no new requests",
-                    request_id=request_id,
-                    retry_after_ms=self._retry_ms[priority],
-                ),
+            return error_response(
+                E_DRAINING,
+                "server is draining and takes no new requests",
+                request_id=request_id,
+                retry_after_ms=self._retry_ms[priority],
             )
-            return
         try:
             request = self._parse_payload(data.get("request"))
         except ReproError as exc:
             # ConfigError for malformed shapes, RegistryError for
             # unknown system/cluster names, TopologyError for layouts
             # the cluster cannot host -- all the payload's own fault.
-            self._counts.inc("failed", "protocol_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_BAD_REQUEST, str(exc), request_id=request_id
-                ),
-            )
-            return
+            return self.refuse(E_BAD_REQUEST, str(exc), request_id, "failed")
         except Exception as exc:
             self._counts.inc("failed", "internal_errors")
-            await self._send(
-                writer,
-                error_response(
-                    E_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    request_id=request_id,
-                ),
+            return error_response(
+                E_INTERNAL,
+                f"{type(exc).__name__}: {exc}",
+                request_id=request_id,
             )
-            return
         tracer = self._service.workspace.tracer
         span = (
             tracer.start_detached(
                 "net.request",
-                {"priority": priority, "client": client},
+                {"priority": priority, "client": peer.client},
             )
             if tracer is not None
             else None
         )
         item = _Pending(
-            client=client,
-            writer=writer,
+            peer=peer,
             request_id=request_id,
             request=request,
             priority=priority,
@@ -839,22 +542,18 @@ class NetServer:
             digest=bool(data.get("digest", False)),
             span=span,
         )
-        lane = self._lanes[priority]
-        if not lane.push(item):
+        if not self._lanes[priority].push(item):
             self._counts.inc("shed")
             if span is not None:
                 span.set(outcome="shed").end()
-            await self._send(
-                writer,
-                error_response(
-                    E_SHED,
-                    f"{priority} lane is full; retry after the hint",
-                    request_id=request_id,
-                    retry_after_ms=self._retry_ms[priority],
-                ),
+            return error_response(
+                E_SHED,
+                f"{priority} lane is full; retry after the hint",
+                request_id=request_id,
+                retry_after_ms=self._retry_ms[priority],
             )
-            return
         self._wake.set()
+        return None
 
     # -- dispatch ------------------------------------------------------------
 
@@ -888,37 +587,19 @@ class NetServer:
                 await asyncio.sleep(_BACKPRESSURE_PAUSE_S)
                 continue
             except ServiceClosedError as exc:
-                self._counts.inc("drained")
-                await self._respond(
-                    item,
-                    error_response(
-                        E_DRAINING,
-                        str(exc),
-                        request_id=item.request_id,
-                        retry_after_ms=self._retry_ms[item.priority],
-                    ),
-                    outcome="drained",
+                self._refuse_item(
+                    item, "drained", E_DRAINING, str(exc), "drained"
                 )
             except ConfigError as exc:
-                self._counts.inc("failed", "protocol_errors")
-                await self._respond(
-                    item,
-                    error_response(
-                        E_BAD_REQUEST, str(exc),
-                        request_id=item.request_id,
-                    ),
-                    outcome="bad-request",
+                self._refuse_item(
+                    item, "bad-request", E_BAD_REQUEST, str(exc),
+                    "failed", "protocol_errors",
                 )
             except Exception as exc:
-                self._counts.inc("failed", "internal_errors")
-                await self._respond(
-                    item,
-                    error_response(
-                        E_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                        request_id=item.request_id,
-                    ),
-                    outcome="internal",
+                self._refuse_item(
+                    item, "internal", E_INTERNAL,
+                    f"{type(exc).__name__}: {exc}",
+                    "failed", "internal_errors",
                 )
             else:
                 task = loop.create_task(
@@ -935,36 +616,20 @@ class NetServer:
         except asyncio.CancelledError:
             raise
         except ServiceClosedError as exc:
-            self._counts.inc("drained")
-            await self._respond(
-                item,
-                error_response(
-                    E_DRAINING, str(exc), request_id=item.request_id,
-                    retry_after_ms=self._retry_ms[item.priority],
-                ),
-                outcome="drained",
+            self._refuse_item(
+                item, "drained", E_DRAINING, str(exc), "drained"
             )
             return
         except ReproError as exc:
-            self._counts.inc("failed")
-            await self._respond(
-                item,
-                error_response(
-                    E_PLAN_FAILED, str(exc), request_id=item.request_id
-                ),
-                outcome="plan-failed",
+            self._refuse_item(
+                item, "plan-failed", E_PLAN_FAILED, str(exc), "failed"
             )
             return
         except Exception as exc:
-            self._counts.inc("failed", "internal_errors")
-            await self._respond(
-                item,
-                error_response(
-                    E_INTERNAL,
-                    f"{type(exc).__name__}: {exc}",
-                    request_id=item.request_id,
-                ),
-                outcome="internal",
+            self._refuse_item(
+                item, "internal", E_INTERNAL,
+                f"{type(exc).__name__}: {exc}",
+                "failed", "internal_errors",
             )
             return
         self._counts.inc("completed")
@@ -982,29 +647,48 @@ class NetServer:
                 include_gar=request.include_gar,
                 noise=request.noise, seed=request.seed,
             )
-        await self._respond(item, response, outcome="completed")
+        self._respond(item, response, outcome="completed")
 
-    async def _respond(
+    def _refuse_item(
+        self, item: _Pending, outcome: str, code: str, message: str,
+        *counts: str,
+    ) -> None:
+        """Count ``counts`` and answer an admitted request's refusal."""
+        self._counts.inc(*counts)
+        retry_after_ms = (
+            self._retry_ms[item.priority] if code in RETRYABLE_CODES
+            else None
+        )
+        self._respond(
+            item,
+            error_response(
+                code, message, request_id=item.request_id,
+                retry_after_ms=retry_after_ms,
+            ),
+            outcome=outcome,
+        )
+
+    def _respond(
         self, item: _Pending, response: dict, *, outcome: str
     ) -> None:
-        delivered = await self._send(item.writer, response)
+        delivered = item.peer.send(response)
         if not delivered:
             self._counts.inc("dropped")
         if item.span is not None:
             item.span.set(outcome=outcome, delivered=delivered).end()
 
 
-class NetClient:
+class NetClient(LineClient):
     """Sync client on one :class:`NetServer`: persistent socket, retries.
 
-    One connection guarded by a lock (thread-safe, one in-flight
-    request at a time), lazily opened and re-opened with backoff after
-    transport failures.  Overload refusals (``shed``/``draining``)
-    retry through the same :class:`~repro.serve.protocol.Backoff`,
-    never below the server's ``retry_after_ms`` hint; exhausted
-    overload retries surface as :class:`~repro.errors.QueueFullError`,
-    exhausted transport retries as plain
-    :class:`~repro.errors.ServiceError`, and protocol refusals
+    The kernel's :class:`~repro.rpc.LineClient` -- one connection
+    guarded by a lock (thread-safe, one in-flight request at a time),
+    lazily opened and re-opened with backoff after transport failures.
+    Overload refusals (``shed``/``draining``) retry through the same
+    :class:`~repro.rpc.Backoff`, never below the server's
+    ``retry_after_ms`` hint; exhausted overload retries surface as
+    :class:`~repro.errors.QueueFullError`, exhausted transport retries
+    as plain :class:`~repro.errors.ServiceError`, and protocol refusals
     (bad schema/request/op) as :class:`~repro.errors.ProtocolError`.
 
     Args:
@@ -1014,8 +698,8 @@ class NetClient:
         retries: transport reconnect attempts *and* overload retry
             budget (each counted separately).
         backoff: the retry-delay policy (default: a fresh
-            :class:`~repro.serve.protocol.Backoff`); inject a seeded
-            one for deterministic tests.
+            :class:`~repro.rpc.Backoff`); inject a seeded one for
+            deterministic tests.
 
     Raises:
         ConfigError: for a malformed address or negative ``retries``.
@@ -1030,64 +714,12 @@ class NetClient:
         retries: int = 5,
         backoff: Backoff | None = None,
     ) -> None:
-        self.address = address
-        self._host, self._port = parse_address(address)
-        if retries < 0:
-            raise ConfigError(f"retries must be >= 0, got {retries}")
-        self.schema = schema
-        self.timeout_s = timeout_s
-        self._retries = retries
-        self._backoff = backoff if backoff is not None else Backoff()
-        self._lock = threading.Lock()
-        self._sock: socket.socket | None = None
-        self._file = None
-
-    def _connect(self) -> None:
-        sock = socket.create_connection(
-            (self._host, self._port), timeout=self.timeout_s
-        )
-        self._sock = sock
-        self._file = sock.makefile("rb")
-
-    def _drop(self) -> None:
-        for resource in (self._file, self._sock):
-            if resource is not None:
-                try:
-                    resource.close()
-                except OSError:  # pragma: no cover - close race
-                    pass
-        self._sock = None
-        self._file = None
-
-    def _roundtrip(self, request: dict) -> dict:
-        """One frame out, one response object back, transport-retrying.
-
-        Raises:
-            ServiceError: when every transport attempt failed.
-        """
-        payload = encode_frame(request)
-        last: Exception | None = None
-        with self._lock:
-            for attempt in range(self._retries + 1):
-                try:
-                    if self._sock is None:
-                        self._connect()
-                    self._sock.sendall(payload)
-                    line = self._file.readline()
-                    if not line:
-                        raise OSError("server closed the connection")
-                    response = json.loads(line)
-                    if not isinstance(response, dict):
-                        raise ValueError("non-object response")
-                    return response
-                except (OSError, ValueError) as exc:
-                    last = exc
-                    self._drop()
-                    if attempt < self._retries:
-                        self._backoff.wait(attempt)
-        raise ServiceError(
-            f"plan server {self.address} unreachable after "
-            f"{self._retries + 1} attempt(s): {last}"
+        super().__init__(
+            address,
+            schema=schema,
+            timeout_s=timeout_s,
+            retries=retries,
+            backoff=backoff if backoff is not None else Backoff(),
         )
 
     def _checked(self, response: dict) -> dict:
@@ -1183,14 +815,3 @@ class NetClient:
         )
         exposition = response.get("exposition")
         return exposition if isinstance(exposition, str) else ""
-
-    def close(self) -> None:
-        """Drop the connection (the client reconnects on next use)."""
-        with self._lock:
-            self._drop()
-
-    def __enter__(self) -> "NetClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

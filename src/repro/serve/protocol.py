@@ -1,11 +1,12 @@
-"""The plan-serving wire protocol: framing, schema, errors, backoff.
+"""The plan-serving wire protocol: schema, plan payloads, overload codes.
 
 One request object per line, one response object per line, UTF-8 JSON
-over a plain TCP socket -- the same JSON-lines idiom the shared cache
-tier (:mod:`repro.cache.remote`) and the ``repro serve --requests``
-stream already speak.  This module is the single source of truth for
-the frame shapes; :class:`~repro.serve.net.NetServer` and
-:class:`~repro.serve.net.NetClient` both import it, and
+over a plain TCP socket.  The transport -- framing, the frame gate, the
+envelopes, the transport ``E_*`` codes and :class:`Backoff` -- is the
+RPC kernel :mod:`repro.rpc`, which the shared cache tier
+(:mod:`repro.cache.remote`) speaks too; this module re-exports it and
+adds what only plan serving has.  :class:`~repro.serve.net.NetServer`
+and :class:`~repro.serve.net.NetClient` both import it, and
 ``docs/SERVING.md`` documents the same tables.
 
 Request envelope (client -> server)::
@@ -28,30 +29,36 @@ Response envelope (server -> client)::
     {"ok": false, "id": 7, "error": {"code": "shed",
      "message": "..."}, "retry_after_ms": 50.0}                 # refusal
 
-Every refusal carries a stable machine-readable ``error.code`` from the
-``E_*`` constants below; only the codes in :data:`RETRYABLE_CODES`
-(``shed``, ``draining``) carry ``retry_after_ms`` and may be retried
-verbatim -- everything else means the frame itself is wrong.
-
-:class:`Backoff` is the one retry-delay policy shared by
-:class:`~repro.serve.net.NetClient` and
-:class:`~repro.cache.remote.RemoteTier`: capped exponential delays with
-seeded jitter and an injectable sleeper, so retry behavior is testable
-deterministically.
+Every refusal carries a stable machine-readable ``error.code``: the
+kernel's transport codes or the plan codes below.  Only the codes in
+:data:`RETRYABLE_CODES` (``shed``, ``draining``) carry
+``retry_after_ms`` and may be retried verbatim -- everything else means
+the frame itself is wrong.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..api.spec import ClusterRef, StackSpec
 from ..config import standard_layout
 from ..errors import ConfigError
 from ..moe.gates import GateKind
 from ..planner.plan import IterationPlan
+from ..rpc import (
+    E_BAD_FRAME,
+    E_BAD_JSON,
+    E_BAD_REQUEST,
+    E_BAD_SCHEMA,
+    E_INTERNAL,
+    E_OVERSIZED,
+    E_UNKNOWN_OP,
+    Backoff,
+    encode_frame,
+    error_response,
+    ok_response,
+)
 from ..systems.registry import get_system
 from .service import PlanRequest
 
@@ -61,23 +68,12 @@ from .service import PlanRequest
 PROTOCOL_SCHEMA_VERSION = 1
 
 #: refuse (and resync past) absurd single request lines instead of
-#: buffering them; responses are unbounded (plan documents are large).
+#: buffering them; responses are bounded by the client's
+#: :data:`~repro.rpc.MAX_RESPONSE_BYTES` (plan documents are large).
 MAX_LINE_BYTES = 1 * 1024 * 1024
 
-# -- stable error codes (the wire contract; see docs/SERVING.md) ----------
+# -- plan-serving error codes (the wire contract; see docs/SERVING.md) ----
 
-#: the line is not valid JSON.
-E_BAD_JSON = "bad-json"
-#: the line parsed, but is not a JSON object.
-E_BAD_FRAME = "bad-frame"
-#: the envelope's ``schema`` is missing or not this server's version.
-E_BAD_SCHEMA = "bad-schema"
-#: the envelope's ``op`` is not one this server speaks.
-E_UNKNOWN_OP = "unknown-op"
-#: the request line exceeded the server's line bound and was discarded.
-E_OVERSIZED = "oversized-line"
-#: the ``plan`` payload (or ``priority``/``detail``) is malformed.
-E_BAD_REQUEST = "bad-request"
 #: overload shed: the priority lane (or a per-client bound) is full.
 E_SHED = "shed"
 #: the server is draining for shutdown and takes no new work.
@@ -85,8 +81,6 @@ E_DRAINING = "draining"
 #: the plan resolution itself failed (the request's own fault:
 #: impossible topology, solver failure, ...).
 E_PLAN_FAILED = "plan-failed"
-#: a server defect (the 5xx class); never expected, always counted.
-E_INTERNAL = "internal"
 
 #: codes a client may retry verbatim, honoring ``retry_after_ms``.
 RETRYABLE_CODES = frozenset({E_SHED, E_DRAINING})
@@ -99,41 +93,6 @@ PLAN_PAYLOAD_KEYS = frozenset({
     "cluster", "system", "stack", "gate", "solver", "r_max",
     "routing_overhead", "noise", "seed",
 })
-
-
-def encode_frame(obj: dict) -> bytes:
-    """One protocol object as its on-wire line (UTF-8 JSON + newline)."""
-    return json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n"
-
-
-def ok_response(request_id: object = None, **fields: object) -> dict:
-    """A success envelope echoing ``request_id``, with ``fields`` merged."""
-    response: dict = {"ok": True, "id": request_id}
-    response.update(fields)
-    return response
-
-
-def error_response(
-    code: str,
-    message: str,
-    *,
-    request_id: object = None,
-    retry_after_ms: float | None = None,
-) -> dict:
-    """A refusal envelope: stable ``code``, human ``message``.
-
-    ``retry_after_ms`` is attached only for the retryable codes
-    (:data:`RETRYABLE_CODES`), telling a well-behaved client how long
-    to wait before resubmitting the identical frame.
-    """
-    response: dict = {
-        "ok": False,
-        "id": request_id,
-        "error": {"code": code, "message": message},
-    }
-    if retry_after_ms is not None:
-        response["retry_after_ms"] = round(float(retry_after_ms), 3)
-    return response
 
 
 def parse_plan_payload(data: dict) -> PlanRequest:
@@ -202,77 +161,6 @@ def plan_summary(plan: IterationPlan) -> dict:
         "degrees": list(plan.degrees),
         "makespan_ms": plan.makespan_ms(),
     }
-
-
-class Backoff:
-    """Capped exponential retry delays with seeded jitter.
-
-    The one retry-delay policy of the networking layer, shared by
-    :class:`~repro.serve.net.NetClient` (transport reconnects and
-    ``retry_after_ms`` honoring) and
-    :class:`~repro.cache.remote.RemoteTier` (its reconnect retry).
-    Attempt ``k`` sleeps ``base_ms * factor**k`` capped at ``max_ms``,
-    scaled by a jitter factor uniform in ``[1 - jitter, 1 + jitter]``,
-    and never below the caller's ``floor_ms`` (a server's
-    ``retry_after_ms`` directive).
-
-    Both the random source and the sleeper are injectable, so tests pin
-    the exact delay sequence with a seeded :class:`random.Random` and a
-    recording fake sleeper instead of sleeping for real.
-
-    Args:
-        base_ms: first-attempt delay.
-        factor: per-attempt growth (>= 1).
-        max_ms: delay cap before jitter.
-        jitter: relative jitter half-width in ``[0, 1)``; 0 disables.
-        rng: random source for the jitter (default: a fresh
-            process-seeded :class:`random.Random`).
-        sleep: the sleeper, taking seconds (default: ``time.sleep``).
-
-    Raises:
-        ConfigError: for a non-positive ``base_ms``, ``factor < 1``,
-            ``max_ms < base_ms``, or ``jitter`` outside ``[0, 1)``.
-    """
-
-    def __init__(
-        self,
-        *,
-        base_ms: float = 25.0,
-        factor: float = 2.0,
-        max_ms: float = 2000.0,
-        jitter: float = 0.25,
-        rng: random.Random | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if base_ms <= 0:
-            raise ConfigError(f"base_ms must be > 0, got {base_ms}")
-        if factor < 1.0:
-            raise ConfigError(f"factor must be >= 1, got {factor}")
-        if max_ms < base_ms:
-            raise ConfigError(
-                f"max_ms must be >= base_ms, got {max_ms} < {base_ms}"
-            )
-        if not 0.0 <= jitter < 1.0:
-            raise ConfigError(f"jitter must be in [0, 1), got {jitter}")
-        self.base_ms = float(base_ms)
-        self.factor = float(factor)
-        self.max_ms = float(max_ms)
-        self.jitter = float(jitter)
-        self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
-
-    def delay_ms(self, attempt: int, *, floor_ms: float = 0.0) -> float:
-        """The delay before retry number ``attempt`` (0-based), in ms."""
-        delay = min(self.base_ms * self.factor ** attempt, self.max_ms)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-        return max(delay, float(floor_ms))
-
-    def wait(self, attempt: int, *, floor_ms: float = 0.0) -> float:
-        """Sleep for :meth:`delay_ms`; returns the delay actually slept."""
-        delay = self.delay_ms(attempt, floor_ms=floor_ms)
-        self._sleep(delay / 1000.0)
-        return delay
 
 
 def retry_priorities(

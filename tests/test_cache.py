@@ -212,7 +212,7 @@ class TestRemoteProtocol:
             bad_op = json.dumps(
                 {"op": "nope", "schema": CACHE_SCHEMA_VERSION}
             ).encode()
-            assert "unknown op" in server.handle_line(bad_op)["error"]
+            assert server.handle_line(bad_op)["error"]["code"] == "unknown-op"
             no_key = json.dumps(
                 {"op": "get", "schema": CACHE_SCHEMA_VERSION}
             ).encode()

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +355,45 @@ class TestServe:
         path.write_text(json.dumps({**self.REQUEST, "mystery": 1}) + "\n")
         assert main(["serve", "--requests", str(path)]) == 2
         assert "unknown keys" in capsys.readouterr().err
+
+
+#: the repository's ``src`` directory, for child ``python -m repro``.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestForegroundServers:
+    @pytest.mark.parametrize(
+        "argv, banner",
+        [
+            (["cache", "serve"], "cache server listening on "),
+            (
+                ["serve", "--listen", "127.0.0.1:0", "--workspace", "{ws}"],
+                "plan server listening on ",
+            ),
+        ],
+        ids=["cache-serve", "serve-listen"],
+    )
+    def test_sigterm_stops_cleanly(self, tmp_path, argv, banner):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC), env.get("PYTHONPATH", "")]
+        )
+        argv = [arg.format(ws=tmp_path / "ws") for arg in argv]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(banner)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover - failure path
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestReport:

@@ -3,10 +3,12 @@
 Every malformed input -- broken JSON, non-object frames, wrong schema,
 unknown ops, oversized lines, truncated frames, seeded random fuzz --
 must get a structured error response on a live connection, never a hang
-or a dead server; the same discipline is asserted against the cache
+or a dead server.  The transport half of that contract belongs to the
+RPC kernel (:mod:`repro.rpc`), so the transport conformance tests run
+against both servers built on it: :class:`NetServer` and the cache
 tier's :class:`~repro.cache.remote.CacheServer`.  The shared
-:class:`~repro.serve.protocol.Backoff` policy is pinned with injected
-RNG and sleepers so the retry behavior of :class:`NetClient` and
+:class:`~repro.rpc.Backoff` policy is pinned with injected RNG and
+sleepers so the retry behavior of :class:`NetClient` and
 :class:`RemoteTier` is deterministic.
 """
 
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 import random
 import socket
+import threading
+import time
 
 import pytest
 
@@ -28,7 +32,9 @@ from repro import (
     ServiceError,
     Workspace,
 )
-from repro.cache.remote import CacheServer, RemoteTier
+from repro import rpc
+from repro.cache import remote
+from repro.cache.remote import CACHE_SCHEMA_VERSION, CacheServer, RemoteTier
 from repro.serve.protocol import (
     E_BAD_FRAME,
     E_BAD_JSON,
@@ -130,19 +136,6 @@ class TestProtocolConformance:
         response = read_response(reader)
         assert error_code(response) == E_UNKNOWN_OP
         assert response["id"] == "req-7"
-
-    def test_oversized_line_is_refused_and_connection_resyncs(self, raw):
-        sock, reader = raw
-        sock.sendall(b"x" * (128 * 1024) + b"\n")
-        assert error_code(read_response(reader)) == E_OVERSIZED
-        # the connection is still usable afterwards
-        send_line(
-            sock,
-            json.dumps(
-                {"op": "ping", "schema": PROTOCOL_SCHEMA_VERSION}
-            ).encode(),
-        )
-        assert read_response(reader)["pong"] is True
 
     def test_truncated_frame_then_close_leaves_server_alive(self, server):
         host, port = server.address.rsplit(":", 1)
@@ -278,6 +271,83 @@ class TestProtocolConformance:
             assert "repro_net_lane_interactive_depth" in exposition
         finally:
             client.close()
+
+
+@pytest.fixture(params=["net", "cache"])
+def line_server(request, monkeypatch):
+    """Each server on the RPC kernel: its address, a frame it answers
+    with ``ok``, and its request-line bound."""
+    if request.param == "net":
+        net = request.getfixturevalue("server")
+        ping = {"op": "ping", "schema": PROTOCOL_SCHEMA_VERSION}
+        yield net.address, ping, 64 * 1024
+        return
+    monkeypatch.setattr(remote, "MAX_LINE_BYTES", 1024)
+    cache = CacheServer()
+    stat = {"op": "stat", "schema": CACHE_SCHEMA_VERSION}
+    try:
+        yield cache.start(), stat, 1024
+    finally:
+        cache.close()
+
+
+def connect(address: str):
+    """A raw socket and buffered reader on ``address``."""
+    host, port = address.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=30.0)
+    return sock, sock.makefile("rb")
+
+
+class TestTransportConformance:
+    """The kernel's transport contract, against both servers; `-k
+    conformance` selects these."""
+
+    def test_oversized_line_is_refused_and_connection_resyncs(
+        self, line_server
+    ):
+        address, answered, bound = line_server
+        sock, reader = connect(address)
+        try:
+            sock.sendall(b"x" * max(128 * 1024, 2 * bound) + b"\n")
+            refusal = read_response(reader)
+            assert error_code(refusal) == E_OVERSIZED
+            assert str(bound) in refusal["error"]["message"]
+            # exactly one refusal: the next frame gets its own answer
+            send_line(sock, json.dumps(answered).encode())
+            assert read_response(reader)["ok"] is True
+        finally:
+            reader.close()
+            sock.close()
+
+    def test_refusals_carry_stable_codes(self, line_server):
+        address, answered, _ = line_server
+        sock, reader = connect(address)
+        try:
+            cases = [
+                (b"this is not json", E_BAD_JSON),
+                (b"[1, 2, 3]", E_BAD_FRAME),
+                (json.dumps({"op": answered["op"]}).encode(), E_BAD_SCHEMA),
+            ]
+            for frame, code in cases:
+                send_line(sock, frame)
+                assert error_code(read_response(reader)) == code
+            send_line(
+                sock,
+                json.dumps(
+                    {"op": "mystery", "schema": answered["schema"],
+                     "id": "req-7"}
+                ).encode(),
+            )
+            response = read_response(reader)
+            assert error_code(response) == E_UNKNOWN_OP
+            assert response["id"] == "req-7"
+            # blank lines are skipped, not answered
+            sock.sendall(b"\n  \n")
+            send_line(sock, json.dumps(answered).encode())
+            assert read_response(reader)["ok"] is True
+        finally:
+            reader.close()
+            sock.close()
 
 
 def fuzz_roundtrip(address: str, frames: list[bytes]) -> None:
@@ -518,14 +588,33 @@ class TestRemoteTierBackoff:
             cache_server.close()
 
     def test_netclient_and_remotetier_share_the_policy(self):
-        from repro.cache.remote import RemoteTier as TierClass
-        from repro.serve.net import NetClient as ClientClass
-        import inspect
+        # one client kernel: the same seeded policy against the same
+        # unreachable address sleeps the same jittered sequence
+        def sleeps(make_client, call):
+            slept = []
+            backoff = Backoff(
+                base_ms=10.0, max_ms=200.0, jitter=0.5,
+                rng=random.Random(11), sleep=slept.append,
+            )
+            client = make_client(
+                "127.0.0.1:1", retries=3, timeout_s=0.2, backoff=backoff
+            )
+            try:
+                call(client)
+            finally:
+                client.close()
+            return slept
 
-        tier_src = inspect.getsource(TierClass)
-        client_src = inspect.getsource(ClientClass)
-        assert "_backoff.wait(attempt" in tier_src
-        assert "_backoff.wait(" in client_src
+        def tier_get(tier):
+            assert tier.get("k") is None  # degrades, never raises
+
+        def net_ping(client):
+            with pytest.raises(ServiceError):
+                client.ping()
+
+        tier = sleeps(RemoteTier, tier_get)
+        assert len(tier) == 3 and len(set(tier)) == 3
+        assert sleeps(NetClient, net_ping) == tier
 
 
 class TestNetClientErrors:
@@ -555,3 +644,57 @@ class TestNetClientErrors:
                 client.ping()
         finally:
             client.close()
+
+
+@pytest.fixture()
+def flooding_server(monkeypatch):
+    """A stub peer answering every request with one line just over the
+    client's response bound and no newline; yields its address."""
+    monkeypatch.setattr(rpc, "MAX_RESPONSE_BYTES", 4096)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.1)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(30.0)
+                try:
+                    conn.makefile("rb").readline()
+                    conn.sendall(b"x" * 4097)
+                    conn.recv(1)  # until the client hangs up
+                except OSError:
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()[:2]
+    yield f"{host}:{port}"
+    stop.set()
+    thread.join(timeout=5.0)
+    listener.close()
+    assert not thread.is_alive()
+
+
+class TestResponseBound:
+    def test_oversized_response_fails_instead_of_buffering(
+        self, flooding_server
+    ):
+        started = time.monotonic()
+        client = NetClient(flooding_server, retries=0, timeout_s=30.0)
+        try:
+            with pytest.raises(ServiceError, match="exceeds 4096 bytes"):
+                client.ping()
+        finally:
+            client.close()
+        tier = RemoteTier(flooding_server, retries=0, timeout_s=30.0)
+        try:
+            assert tier.get("k") is None
+        finally:
+            tier.close()
+        # both gave up at the bound, not at the socket timeout
+        assert time.monotonic() - started < 10.0

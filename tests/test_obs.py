@@ -46,6 +46,7 @@ from repro.obs import (
     stats_samples,
 )
 from repro.planner.store import StoreStats
+from repro.rpc import TransportStats
 from repro.serve.net import LANES, LaneStats, NetServer, NetStats
 from repro.serve.stats import ServiceStats, StatsAccumulator, percentile
 from repro.systems.registry import get_system
@@ -613,7 +614,7 @@ NESTED_TYPES = {
 SCHEMA_BOUNDS = (1.0, 2.0, 4.0)
 ALL_STATS_TYPES = (
     TierStats, CacheStats, StoreStats, SolverStats, ServiceStats,
-    LaneStats, NetStats, WorkspaceStats,
+    LaneStats, NetStats, WorkspaceStats, TransportStats,
 )
 
 
@@ -766,10 +767,18 @@ NET_HELP = {
         ("peak_depth", "high-water queue depth of this lane"),
     )
 }
-#: a CacheServer exposes its store's TierStats; fills/writes/errors are
-#: new (always 0: the server's LRU neither fills nor fails).
+#: the RPC kernel's transport counters, on both servers.
+TRANSPORT_SERIES = {
+    "connections": "counter", "open_connections": "gauge",
+    "frames": "counter", "protocol_errors": "counter",
+    "internal_errors": "counter",
+}
+#: a CacheServer exposes its store's TierStats (fills/writes/errors are
+#: always 0: the server's LRU neither fills nor fails), then the
+#: kernel's transport counters.
 CACHE_SERVER_SERIES = {
-    f"repro_cache_server_{name}": kind for name, kind in TIER_SERIES.items()
+    f"repro_cache_server_{name}": kind
+    for name, kind in {**TIER_SERIES, **TRANSPORT_SERIES}.items()
 }
 
 
