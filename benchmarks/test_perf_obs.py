@@ -1,7 +1,8 @@
 """Tracing overhead: traced vs untraced warm sweeps, with span invariants.
 
 One measurement, one committed baseline (``BENCH_obs.json``): the same
-warm sweep timed three ways through L1-warm workspaces --
+warm sweep timed three ways through L1-warm workspaces, taking turns
+within every repetition so a drift in host speed hits all three alike --
 
 * **untraced** -- the zero-cost-off claim's baseline (``trace=None``
   with no ``REPRO_TRACE``: every hot-path guard sees ``tracer is
@@ -66,8 +67,8 @@ SWEEP_SPEC = {
 
 def _repeats(config: ReportConfig) -> int:
     if config.smoke:
-        return 40
-    return 200
+        return 200
+    return 1000
 
 
 def check_plan_outcomes(records: tuple[SpanRecord, ...]) -> int:
@@ -97,14 +98,22 @@ def check_plan_outcomes(records: tuple[SpanRecord, ...]) -> int:
 
 
 def _timed_sweeps(
-    workspace: Workspace, spec: ExperimentSpec, repeats: int
-) -> list[float]:
-    """Per-repetition wall times of an already-warm sweep (seconds)."""
-    times: list[float] = []
+    workspaces: tuple[Workspace, ...], spec: ExperimentSpec, repeats: int
+) -> list[list[float]]:
+    """Per-repetition wall times of already-warm sweeps (seconds), one
+    list per workspace.
+
+    The workspaces take turns within each repetition: a warm sweep is
+    well under a millisecond, and a shared host's speed can change by
+    more than the bound within seconds, so timing one workspace's
+    repetitions after another's compares host phases, not tracing.
+    """
+    times: list[list[float]] = [[] for _ in workspaces]
     for _ in range(repeats):
-        start = time.perf_counter()
-        workspace.sweep(spec, max_workers=1)
-        times.append(time.perf_counter() - start)
+        for workspace, series in zip(workspaces, times):
+            start = time.perf_counter()
+            workspace.sweep(spec, max_workers=1)
+            series.append(time.perf_counter() - start)
     return times
 
 
@@ -125,9 +134,9 @@ def _measure(scratch: Path, config: ReportConfig) -> dict:
     # the span contract, so drop the cold pass's spans first.
     traced.tracer.clear()
 
-    untraced_s = _timed_sweeps(untraced, spec, repeats)
-    traced_s = _timed_sweeps(traced, spec, repeats)
-    file_traced_s = _timed_sweeps(file_traced, spec, repeats)
+    untraced_s, traced_s, file_traced_s = _timed_sweeps(
+        (untraced, traced, file_traced), spec, repeats
+    )
 
     records = traced.tracer.spans()
     plan_spans = check_plan_outcomes(records)

@@ -179,8 +179,23 @@ class IterationPlan:
         return simulate(build_iteration_graph(self.to_spec(), phase=phase))
 
     def makespan_ms(self, phase: str = "both") -> float:
-        """Simulated duration of the planned iteration (or one phase)."""
-        return self.simulate(phase=phase).makespan_ms
+        """Simulated duration of the planned iteration (or one phase).
+
+        Simulated once per plan object and phase: a plan is immutable,
+        so the value never changes.  The memo lives in the instance
+        ``__dict__``, outside the dataclass fields, so equality, hashing,
+        ``repr`` and the plan document never see it; two threads filling
+        it at once store the same deterministic value.
+        """
+        memo = self.__dict__.setdefault("_makespan_memo", {})
+        value = memo.get(phase)
+        if value is None:
+            value = memo[phase] = self.simulate(phase=phase).makespan_ms
+        return value
+
+    def _simulated(self, phase: str = "both") -> bool:
+        """Whether :meth:`makespan_ms` for ``phase`` is already memoized."""
+        return phase in self.__dict__.get("_makespan_memo", ())
 
     # -- serialization -------------------------------------------------------
 

@@ -636,8 +636,15 @@ class NetServer(LineServer):
         response = ok_response(item.request_id)
         if item.detail == "plan":
             response["plan"] = plan.to_dict()
-        else:
+        elif plan._simulated():
             response["result"] = plan_summary(plan)
+        else:
+            # a plan's first summary simulates it (milliseconds of CPU):
+            # keep that off the loop; later summaries read the memo
+            loop = asyncio.get_running_loop()
+            response["result"] = await loop.run_in_executor(
+                None, plan_summary, plan
+            )
         if item.digest:
             request = item.request
             response["digest"] = self._service.workspace.plan_digest(

@@ -698,3 +698,77 @@ class TestResponseBound:
             tier.close()
         # both gave up at the bound, not at the socket timeout
         assert time.monotonic() - started < 10.0
+
+
+@pytest.fixture()
+def fresh_server(tmp_path):
+    """A NetServer on an empty workspace: no plan simulated yet."""
+    with NetServer(Workspace(tmp_path / "ws"), flush_ms=1.0) as srv:
+        yield srv
+
+
+class TestSummaryOffTheLoop:
+    def test_first_touch_simulates_off_the_loop(
+        self, fresh_server, monkeypatch
+    ):
+        """A blocked first-touch simulation must not stall ``ping``."""
+        import repro.planner.plan as plan_module
+
+        engine = plan_module.simulate
+        entered = threading.Event()
+        release = threading.Event()
+        threads: list[int] = []
+
+        def blocking(graph):
+            threads.append(threading.get_ident())
+            entered.set()
+            assert release.wait(timeout=30.0)
+            return engine(graph)
+
+        monkeypatch.setattr(plan_module, "simulate", blocking)
+        host, port = fresh_server.address.rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)), timeout=30.0)
+        reader = sock.makefile("rb")
+        pinger = NetClient(fresh_server.address, timeout_s=5.0, retries=0)
+        try:
+            send_line(sock, json.dumps(
+                {"op": "plan", "schema": PROTOCOL_SCHEMA_VERSION,
+                 "id": "first", "request": TINY_PAYLOAD}
+            ).encode())
+            assert entered.wait(timeout=30.0)
+            assert pinger.ping() is True
+            assert not release.is_set()
+            release.set()
+            response = read_response(reader)
+        finally:
+            release.set()
+            pinger.close()
+            reader.close()
+            sock.close()
+        assert response["ok"] is True and response["id"] == "first"
+        assert response["result"]["makespan_ms"] > 0
+        assert threads
+        assert fresh_server._thread.ident not in threads
+
+    def test_repeated_summary_never_simulates(
+        self, fresh_server, monkeypatch
+    ):
+        import repro.planner.plan as plan_module
+
+        client = NetClient(fresh_server.address)
+        try:
+            first = client.plan(TINY_PAYLOAD)["result"]
+            calls = []
+            engine = plan_module.simulate
+            monkeypatch.setattr(
+                plan_module, "simulate",
+                lambda graph: calls.append(graph) or engine(graph),
+            )
+            before = fresh_server.service.stats_snapshot()
+            repeats = [client.plan(TINY_PAYLOAD)["result"] for _ in range(5)]
+            window = fresh_server.service.stats_snapshot() - before
+        finally:
+            client.close()
+        assert repeats == [first] * 5
+        assert window.resolved == 0 and window.completed == 5
+        assert calls == []

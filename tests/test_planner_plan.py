@@ -130,3 +130,92 @@ class TestGarPlacement:
             t_gar_ms=(0.0, 0.0),
         )
         assert placement.moe_ar_bytes == (4.0, 6.0)
+
+
+PHASES = ("both", "forward", "backward")
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Count event-engine runs made through :meth:`IterationPlan.simulate`."""
+    import repro.planner.plan as plan_module
+
+    calls = []
+    engine = plan_module.simulate
+
+    def counting(graph):
+        calls.append(graph)
+        return engine(graph)
+
+    monkeypatch.setattr(plan_module, "simulate", counting)
+    return calls
+
+
+class TestMakespanMemo:
+    @pytest.fixture(scope="class")
+    def compiled(self, compiler, hetero_stack):
+        return compiler.compile(hetero_stack, FSMoE())
+
+    def fresh(self, compiled) -> IterationPlan:
+        """An equal plan object whose memo is still empty."""
+        return IterationPlan.from_json(compiled.to_json())
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_memo_equals_fresh_simulation(self, compiled, phase):
+        plan = self.fresh(compiled)
+        copy = IterationPlan.from_json(plan.to_json())
+        expected = plan.simulate(phase).makespan_ms
+        for target in (plan, copy):
+            first = target.makespan_ms(phase)
+            assert first == expected
+            assert target.makespan_ms(phase) == first
+
+    def test_document_identity_unchanged_by_fill(self, compiled):
+        plan = self.fresh(compiled)
+        before = (
+            plan.to_dict(), plan.to_json(), hash(plan), repr(plan),
+        )
+        for phase in PHASES:
+            plan.makespan_ms(phase)
+        after = (plan.to_dict(), plan.to_json(), hash(plan), repr(plan))
+        assert after == before
+        assert plan == self.fresh(compiled)
+
+    def test_engine_runs_once_per_phase_per_object(
+        self, compiled, engine_calls
+    ):
+        plan = self.fresh(compiled)
+        for _ in range(3):
+            for phase in PHASES:
+                plan.makespan_ms(phase)
+        assert len(engine_calls) == len(PHASES)
+        # an equal but distinct object has its own memo.
+        self.fresh(compiled).makespan_ms()
+        assert len(engine_calls) == len(PHASES) + 1
+
+    def test_invalid_phase_raises_every_call(self, compiled):
+        plan = self.fresh(compiled)
+        plan.makespan_ms()
+        for _ in range(2):
+            with pytest.raises(ScheduleError, match="unknown phase"):
+                plan.makespan_ms("sideways")
+        assert not plan._simulated("sideways")
+
+    def test_concurrent_callers_agree(self, compiled):
+        import threading
+
+        plan = self.fresh(compiled)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def call():
+            barrier.wait()
+            results.append(plan.makespan_ms())
+
+        threads = [threading.Thread(target=call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(results) == 8
+        assert set(results) == {compiled.simulate().makespan_ms}

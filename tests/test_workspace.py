@@ -75,6 +75,26 @@ class TestWorkspaceBasics:
         assert after.plan_hits == before.plan_hits + 2
         assert after.profiles.misses == before.profiles.misses
 
+    def test_l1_warm_sweep_never_simulates(self, tmp_path, monkeypatch):
+        import repro.planner.plan as plan_module
+
+        ws = Workspace(tmp_path / "ws")
+        cold = ws.sweep(tiny_spec())
+        calls = []
+        engine = plan_module.simulate
+        monkeypatch.setattr(
+            plan_module, "simulate",
+            lambda graph: calls.append(graph) or engine(graph),
+        )
+        before = ws.stats
+        warm = ws.sweep(tiny_spec())
+        window = ws.stats.since(before)
+        assert window.cache.l1.hits == 2 and window.plan_misses == 0
+        assert calls == []
+        assert [p.makespan_ms for p in warm.points] == [
+            p.makespan_ms for p in cold.points
+        ]
+
     def test_warm_reopen_is_fully_cached(self, tmp_path):
         root = tmp_path / "ws"
         cold = Workspace(root).sweep(tiny_spec())
