@@ -30,7 +30,6 @@ import time
 from pathlib import Path
 
 from repro import Workspace
-from repro.api.codec import canonical_json, digest
 from repro.report import ArtifactResult, ReportConfig
 from repro.cache import CacheServer
 from repro.serve import duplicate_heavy_requests
@@ -100,16 +99,7 @@ def _measure_lookup_tiers(scratch: Path, config: ReportConfig) -> dict:
     )
     ws.plan(request.stack, request.system, request.cluster, **plan_kwargs)
 
-    stack, parallel, gates = Workspace.normalize_request(
-        request.stack, request.cluster, request.parallel, request.gate_kind
-    )
-    key = ws._plan_key(
-        request.cluster, parallel, stack, gates, request.system,
-        request.routing_overhead, request.include_gar,
-        request.noise, request.seed,
-    )
-    key_json = canonical_json(key)
-    dig = digest(key)
+    key_json, dig = request.key_json, request.digest
     path = ws.plans_dir / f"{dig}.json"
     assert path.exists() and ws._l1.get(dig) is not None
 

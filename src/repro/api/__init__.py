@@ -1,11 +1,13 @@
 """The unified experiment API: the library's front door.
 
-Three pieces on top of the planner:
+Four pieces on top of the planner:
 
 * :mod:`~repro.api.workspace` -- :class:`Workspace`, a disk-rooted
   session owning a persistent profile store and a content-addressed
   plan cache (warm re-runs fit zero profiles and compile zero plans,
   assertable via exact hit/miss counters);
+* :mod:`~repro.api.request` -- :class:`PlanRequest`, one normalized
+  plan request carrying its content address, computed once;
 * :mod:`~repro.api.spec` -- :class:`ExperimentSpec`, a declarative,
   serializable (dict / JSON / TOML) description of
   ``clusters x stacks x systems`` grids;
@@ -19,6 +21,7 @@ shell.
 """
 
 from .registry import available_clusters, get_cluster, register_cluster
+from .request import PlanRequest
 from .spec import ClusterRef, ExperimentSpec, StackSpec
 from .workspace import (
     WORKSPACE_SCHEMA_VERSION,
@@ -38,6 +41,7 @@ __all__ = [
     "WORKSPACE_SCHEMA_VERSION",
     "ExperimentResult",
     "PlanPoint",
+    "PlanRequest",
     "Workspace",
     "WorkspaceStats",
 ]

@@ -140,5 +140,9 @@ def canonical_json(encoded: object) -> str:
 
 def digest(encoded: object) -> str:
     """Content address of an encoded value (sha256 hex, truncated)."""
-    text = canonical_json(encoded)
+    return text_digest(canonical_json(encoded))
+
+
+def text_digest(text: str) -> str:
+    """Content address of an already canonical JSON text."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]

@@ -63,7 +63,7 @@ from ..cache import (
     RemoteTier,
     TierStats,
 )
-from ..config import MoELayerSpec, ParallelSpec, standard_layout
+from ..config import MoELayerSpec, ParallelSpec
 from ..core.context import SolverStats
 from ..core.pipeline_degree import DEFAULT_MAX_DEGREE
 from ..errors import ConfigError, WorkspaceError
@@ -77,6 +77,7 @@ from ..planner.plan import IterationPlan
 from ..planner.store import ProfileStore, StoreStats
 from ..systems.base import TrainingSystem
 from .codec import canonical_json, decode, digest, encode
+from .request import PlanRequest
 from .spec import ExperimentSpec
 
 if TYPE_CHECKING:  # imported lazily at runtime: serve sits above api
@@ -727,33 +728,6 @@ class Workspace:
             r_max=r_max,
         )
 
-    def _plan_key(
-        self,
-        cluster: ClusterSpec,
-        parallel: ParallelSpec,
-        stack: tuple[MoELayerSpec, ...],
-        gates: tuple[GateKind, ...],
-        system: TrainingSystem,
-        routing_overhead: float,
-        include_gar: bool,
-        noise: float,
-        seed: int,
-    ) -> object:
-        return encode(
-            (
-                "plan",
-                cluster,
-                parallel,
-                stack,
-                gates,
-                tuple(system.fingerprint()),
-                float(routing_overhead),
-                bool(include_gar),
-                float(noise),
-                int(seed),
-            )
-        )
-
     def _load_plan_entry(
         self, path: Path, key_json: str
     ) -> tuple[IterationPlan, int] | None:
@@ -894,72 +868,20 @@ class Workspace:
                 span.end()
         return plan
 
-    @staticmethod
-    def normalize_request(
-        stack,
-        cluster: ClusterSpec,
-        parallel: ParallelSpec | None,
-        gate_kind: GateKind | Sequence[GateKind],
-    ) -> tuple[
-        tuple[MoELayerSpec, ...], ParallelSpec, tuple[GateKind, ...]
-    ]:
-        """Canonicalize one plan request's (stack, layout, gates).
+    def recall(self, digest: str) -> IterationPlan | None:
+        """The plan under ``digest`` if the memory tier holds it, else None.
 
-        Shared by :meth:`plan` and the serving layer, so two requests
-        that differ only in spelling (single spec vs 1-tuple, one gate vs
-        a uniform gate tuple, implicit vs explicit standard layout) map
-        to the same plan identity.
-
-        Raises:
-            ConfigError: for an empty stack or malformed gate sequence.
+        The serving layer's submit-time answer.  A hit counts one L1 hit
+        and one plan hit, as the same probe inside :meth:`plan` would; a
+        miss counts nothing, because the caller goes on to :meth:`plan`,
+        whose own L1 probe counts it -- one counted lookup per request.
         """
-        if isinstance(stack, MoELayerSpec):
-            stack = (stack,)
-        stack = tuple(stack)
-        if not stack:
-            raise ConfigError("stack must contain at least one layer spec")
-        if parallel is None:
-            parallel = standard_layout(
-                cluster.total_gpus, cluster.gpus_per_node
-            )
-        if isinstance(gate_kind, GateKind):
-            gates = (gate_kind,) * len(stack)
-        else:
-            gates = tuple(gate_kind)
-            if len(gates) != len(stack):
-                raise ConfigError(
-                    f"gate_kind sequence has {len(gates)} entries for "
-                    f"{len(stack)} layers"
-                )
-        return stack, parallel, gates
-
-    def plan_digest(
-        self,
-        stack,
-        system: TrainingSystem,
-        cluster: ClusterSpec,
-        *,
-        parallel: ParallelSpec | None = None,
-        gate_kind: GateKind | Sequence[GateKind] = GateKind.GSHARD,
-        routing_overhead: float = 1.0,
-        include_gar: bool = True,
-        noise: float = 0.0,
-        seed: int = 0,
-    ) -> str:
-        """Content address of one plan request (no planning performed).
-
-        The digest names the plan-cache file a matching :meth:`plan`
-        call would read or write; the serving layer keys its
-        single-flight bookkeeping on it.
-        """
-        stack, parallel, gates = self.normalize_request(
-            stack, cluster, parallel, gate_kind
-        )
-        key = self._plan_key(
-            cluster, parallel, stack, gates, system,
-            routing_overhead, include_gar, noise, seed,
-        )
-        return digest(key)
+        if self._l1 is None:
+            return None
+        plan = self._l1.get(digest, count_miss=False)
+        if plan is not None:
+            self._plan_counts.inc("plan_hits")
+        return plan
 
     def plan(
         self,
@@ -979,57 +901,35 @@ class Workspace:
         Same semantics as :meth:`PlanCompiler.compile`, plus the two
         persistent caches: profiling goes through the workspace store and
         the finished plan is content-addressed on
-        ``(cluster, layout, stack, gates, system, knobs)``.  A request
-        whose plan is already on disk -- from this session or any earlier
-        process -- touches neither the profiler nor the solvers.
+        ``(cluster, layout, stack, gates, system, knobs)`` -- the
+        identity of one :class:`~repro.api.request.PlanRequest`.  A
+        request whose plan is already on disk -- from this session or any
+        earlier process -- touches neither the profiler nor the solvers.
 
         Raises:
             ConfigError: for an empty stack or malformed gate sequence.
             WorkspaceError: for a plan-cache schema-version mismatch.
         """
-        stack, parallel, gates = self.normalize_request(
-            stack, cluster, parallel, gate_kind
-        )
-        key = self._plan_key(
-            cluster, parallel, stack, gates, system,
+        request = PlanRequest(
+            stack, system, cluster, parallel, gate_kind,
             routing_overhead, include_gar, noise, seed,
         )
-        key_json = canonical_json(key)
-        dig = digest(key)
-
         tracer = self._tracer
         if tracer is None:
-            return self._plan_resolve(
-                stack, cluster, parallel, gates, system,
-                routing_overhead, include_gar, noise, seed,
-                key, key_json, dig,
-            )
+            return self._plan_resolve(request)
         with tracer.start(
             "plan",
-            {"digest": dig, "system": system.name, "layers": len(stack)},
+            {
+                "digest": request.digest,
+                "system": system.name,
+                "layers": len(request.stack),
+            },
         ):
-            return self._plan_resolve(
-                stack, cluster, parallel, gates, system,
-                routing_overhead, include_gar, noise, seed,
-                key, key_json, dig,
-            )
+            return self._plan_resolve(request)
 
-    def _plan_resolve(
-        self,
-        stack: tuple[MoELayerSpec, ...],
-        cluster: ClusterSpec,
-        parallel: ParallelSpec,
-        gates: tuple[GateKind, ...],
-        system: TrainingSystem,
-        routing_overhead: float,
-        include_gar: bool,
-        noise: float,
-        seed: int,
-        key: object,
-        key_json: str,
-        dig: str,
-    ) -> IterationPlan:
+    def _plan_resolve(self, request: PlanRequest) -> IterationPlan:
         """The single-flight tier walk + compile behind :meth:`plan`."""
+        dig, key_json = request.digest, request.key_json
         tracer = self._tracer
         owner = False
         with self._counter_lock:
@@ -1080,21 +980,22 @@ class Workspace:
                         self._plan_counts.inc("plan_hits")
                     else:
                         compiler = self.compiler(
-                            cluster, parallel, noise=noise, seed=seed,
-                            r_max=system.r_max,
+                            request.cluster, request.parallel,
+                            noise=request.noise, seed=request.seed,
+                            r_max=request.system.r_max,
                         )
                         plan = compiler.compile(
-                            stack,
-                            system,
-                            gate_kind=gates,
-                            routing_overhead=routing_overhead,
-                            include_gar=include_gar,
+                            request.stack,
+                            request.system,
+                            gate_kind=request.gate_kind,
+                            routing_overhead=request.routing_overhead,
+                            include_gar=request.include_gar,
                         )
                         self._plan_counts.inc("plan_misses")
                         payload = json.dumps(
                             {
                                 "schema_version": WORKSPACE_SCHEMA_VERSION,
-                                "key": key,
+                                "key": request.key,
                                 "plan": plan.to_dict(),
                             }
                         )

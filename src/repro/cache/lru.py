@@ -76,9 +76,17 @@ class LRUCache:
         """Current approximate occupancy (sum of the sizes passed in)."""
         return self._bytes
 
-    def get(self, key: Hashable) -> object | None:
-        """The cached value, or None; counts exactly one hit or miss."""
+    def get(
+        self, key: Hashable, *, count_miss: bool = True
+    ) -> object | None:
+        """The cached value, or None; counts exactly one hit or miss.
+
+        With ``count_miss=False`` a miss counts nothing: the caller
+        probes again (counted) on its fall-through path.
+        """
         entry = self._entries.get(key)  # lock-free probe
+        if entry is None and not count_miss:
+            return None
         with self._lock:
             if entry is None:
                 # Re-probe under the lock: the entry may have landed (or
@@ -91,7 +99,7 @@ class LRUCache:
             try:
                 self._entries.move_to_end(key)
             except KeyError:  # pragma: no cover - racing eviction
-                self._misses += 1
+                self._misses += count_miss
                 return None
             self._hits += 1
             return entry[0]

@@ -2,9 +2,10 @@
 
 The serving layer between the planner and "heavy traffic": a
 :class:`PlanService` coalesces concurrent plan requests into micro
-batches, deduplicates identical requests onto single-flight
-resolutions (in session, across batches, and -- through the workspace's
-advisory file locks -- across processes), and answers each caller's
+batches, deduplicates identical requests onto one resolution per
+batch (single-flight across threads and -- through the workspace's
+advisory file locks -- across processes), answers repeats from the
+workspace's L1 tier at submit, and answers each caller's
 :class:`~concurrent.futures.Future` with the same content-addressed
 plans ``Workspace.plan`` would return one at a time.
 
@@ -78,20 +79,14 @@ from .protocol import (
     plan_summary,
     retry_priorities,
 )
-from .service import (
-    DEFAULT_CAPACITY,
-    DEFAULT_COMPLETED_CACHE,
-    DEFAULT_FLUSH_MS,
-    PlanRequest,
-    PlanService,
-)
+from ..api.request import PlanRequest
+from .service import DEFAULT_CAPACITY, DEFAULT_FLUSH_MS, PlanService
 from .stats import ServiceStats
 
 __all__ = [
     "Backoff",
     "Client",
     "DEFAULT_CAPACITY",
-    "DEFAULT_COMPLETED_CACHE",
     "DEFAULT_FLUSH_MS",
     "DEFAULT_LANE_CAPACITY",
     "DEFAULT_SHED_RETRY_MS",

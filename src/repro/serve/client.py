@@ -17,7 +17,8 @@ from ..moe.gates import GateKind
 from ..parallel.topology import ClusterSpec
 from ..planner.plan import IterationPlan
 from ..systems.base import TrainingSystem
-from .service import PlanRequest, PlanService
+from ..api.request import PlanRequest
+from .service import PlanService
 
 
 class Client:

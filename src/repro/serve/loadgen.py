@@ -44,7 +44,8 @@ from ..config import MoELayerSpec
 from ..errors import ConfigError, QueueFullError, ServiceError
 from ..planner.plan import IterationPlan
 from ..systems.registry import get_system
-from .service import PlanRequest, PlanService
+from ..api.request import PlanRequest
+from .service import PlanService
 from .stats import ServiceStats, percentile
 
 

@@ -46,6 +46,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from ..api.request import PlanRequest
 from ..cache import LRUCache
 from ..errors import (
     ConfigError,
@@ -181,7 +182,7 @@ class _Pending:
 
     peer: Peer
     request_id: object
-    request: object  # PlanRequest
+    request: PlanRequest
     priority: str
     detail: str
     digest: bool
@@ -464,7 +465,12 @@ class NetServer(LineServer):
         return self.refuse(E_UNKNOWN_OP, f"unknown op {op!r}", request_id)
 
     def _parse_payload(self, payload: object):
-        """Parse (with a small memo: wire streams repeat heavily)."""
+        """Parse (with a small memo: wire streams repeat heavily).
+
+        The memo holds the parsed :class:`~repro.api.request.PlanRequest`
+        itself, so a repeat payload reuses its identity too: the digest
+        is computed once per distinct payload while it stays memoized.
+        """
         key = None
         if isinstance(payload, dict):
             try:
@@ -590,11 +596,6 @@ class NetServer(LineServer):
                 self._refuse_item(
                     item, "drained", E_DRAINING, str(exc), "drained"
                 )
-            except ConfigError as exc:
-                self._refuse_item(
-                    item, "bad-request", E_BAD_REQUEST, str(exc),
-                    "failed", "protocol_errors",
-                )
             except Exception as exc:
                 self._refuse_item(
                     item, "internal", E_INTERNAL,
@@ -646,14 +647,7 @@ class NetServer(LineServer):
                 None, plan_summary, plan
             )
         if item.digest:
-            request = item.request
-            response["digest"] = self._service.workspace.plan_digest(
-                request.stack, request.system, request.cluster,
-                parallel=request.parallel, gate_kind=request.gate_kind,
-                routing_overhead=request.routing_overhead,
-                include_gar=request.include_gar,
-                noise=request.noise, seed=request.seed,
-            )
+            response["digest"] = item.request.digest
         self._respond(item, response, outcome="completed")
 
     def _refuse_item(

@@ -41,6 +41,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from ..api.request import PlanRequest
 from ..api.spec import ClusterRef, StackSpec
 from ..config import standard_layout
 from ..errors import ConfigError
@@ -60,7 +61,6 @@ from ..rpc import (
     ok_response,
 )
 from ..systems.registry import get_system
-from .service import PlanRequest
 
 #: on-wire schema version of the plan-serving protocol; a mismatch is
 #: refused (``bad-schema``) on every frame, so a mixed-version fleet
@@ -96,7 +96,8 @@ PLAN_PAYLOAD_KEYS = frozenset({
 
 
 def parse_plan_payload(data: dict) -> PlanRequest:
-    """One ``plan`` request payload -> a :class:`PlanRequest`.
+    """One ``plan`` request payload -> a normalized
+    :class:`~repro.api.request.PlanRequest`.
 
     The payload is exactly the ``repro serve --requests`` line schema:
     ``cluster`` (name or ``{"name", "total_gpus"}``), ``system``,
@@ -146,6 +147,7 @@ def parse_plan_payload(data: dict) -> PlanRequest:
         stack=stack,
         system=system,
         cluster=cluster,
+        parallel=parallel,
         gate_kind=gates,
         routing_overhead=routing_overhead,
         noise=noise,

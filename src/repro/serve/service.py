@@ -7,13 +7,16 @@ coalescer thread and a bounded request queue:
 * **micro-batching** -- submissions buffer for one flush window
   (``flush_ms``) and drain as a batch, so a burst of requests is
   processed together instead of interleaving N independent call stacks;
-* **request dedup** -- each batch groups requests by plan identity (the
-  same normalized fields the workspace's content address hashes), so M
-  copies of one request cost one resolution and M future completions;
-* **single-flight across batches** -- a group joins an in-flight
-  resolution of the same digest instead of starting a second one, and
-  the workspace layer extends the same guarantee across *processes* via
-  per-digest file locks;
+* **request dedup** -- each batch groups requests by their
+  :attr:`~repro.api.request.PlanRequest.digest` (the workspace's content
+  address, computed once per request object), so M copies of one
+  request cost one resolution and M future completions;
+* **answers from memory at submit** -- a request whose plan the
+  workspace's L1 tier already holds is answered inside :meth:`submit`,
+  without touching the queue; L1 is the one in-memory plan tier, so
+  ``Workspace.clear()`` drops what the service remembers too.  The
+  workspace's in-flight map and per-digest file locks make resolution
+  single-flight across threads and *processes*;
 * **batched solver funnel** -- before resolving a batch's distinct
   groups, their layer contexts are profiled through the shared store and
   pushed through one :func:`~repro.core.pipeline_degree.solve_degrees`
@@ -30,22 +33,17 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
-from ..cache import LRUCache
-from ..config import MoELayerSpec, ParallelSpec
+from ..api.request import PlanRequest
+from ..api.workspace import Workspace
 from ..core.pipeline_degree import solve_degrees
 from ..errors import (
     ConfigError,
     QueueFullError,
     ServiceClosedError,
 )
-from ..moe.gates import GateKind
-from ..parallel.topology import ClusterSpec
 from ..planner.plan import IterationPlan
-from ..systems.base import TrainingSystem
-from ..api.workspace import Workspace
 from .stats import ServiceStats, StatsAccumulator
 
 #: default flush window: long enough to coalesce a burst arriving over a
@@ -55,49 +53,22 @@ DEFAULT_FLUSH_MS = 2.0
 #: default bound on the undrained request backlog.
 DEFAULT_CAPACITY = 4096
 
-#: default entry bound of the in-session completed-plan cache.
-DEFAULT_COMPLETED_CACHE = 1024
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """One plan request, exactly the :meth:`Workspace.plan` surface.
-
-    Attributes mirror the workspace call; ``system`` is identified by
-    its :meth:`~repro.systems.base.TrainingSystem.fingerprint` for
-    deduplication, so two equal-configured instances coalesce.
-    """
-
-    stack: MoELayerSpec | Sequence[MoELayerSpec]
-    system: TrainingSystem
-    cluster: ClusterSpec
-    parallel: ParallelSpec | None = None
-    gate_kind: GateKind | Sequence[GateKind] = GateKind.GSHARD
-    routing_overhead: float = 1.0
-    include_gar: bool = True
-    noise: float = 0.0
-    seed: int = 0
-
 
 @dataclass
 class _Entry:
     """One accepted submission awaiting resolution."""
 
     request: PlanRequest
-    key: tuple
     future: Future
     submitted: float  # time.monotonic()
 
 
 @dataclass
 class _Group:
-    """All entries sharing one plan identity, resolved once."""
+    """A batch's entries sharing one plan identity, resolved once."""
 
-    key: tuple
     leader: PlanRequest
     members: list[_Entry] = field(default_factory=list)
-    done: bool = False
-    digest: str | None = None
 
 
 class PlanService:
@@ -117,16 +88,9 @@ class PlanService:
             groups (1 = resolve serially on the coalescer thread).
         prewarm: push a cold batch's layer contexts through one batched
             Algorithm-1 solve before resolving its groups.
-        completed_cache: entry bound of the in-session completed-plan
-            map.  A repeat of an already-resolved request is answered
-            at submit time without touching the queue; entries beyond
-            the bound are evicted in LRU order (counted as
-            ``futures_evicted``, the evictee falling back to the
-            workspace tiers).  ``0`` disables the cache.
 
     Raises:
-        ConfigError: for a non-positive window, capacity or batch size,
-            or a negative cache bound.
+        ConfigError: for a non-positive window, capacity or batch size.
     """
 
     def __init__(
@@ -138,7 +102,6 @@ class PlanService:
         max_batch: int | None = None,
         workers: int = 1,
         prewarm: bool = True,
-        completed_cache: int = DEFAULT_COMPLETED_CACHE,
     ) -> None:
         if flush_ms < 0:
             raise ConfigError(f"flush_ms must be >= 0, got {flush_ms}")
@@ -148,10 +111,6 @@ class PlanService:
             raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if completed_cache < 0:
-            raise ConfigError(
-                f"completed_cache must be >= 0, got {completed_cache}"
-            )
         self.workspace = workspace
         self._flush_s = flush_ms / 1000.0
         self._capacity = capacity
@@ -159,12 +118,8 @@ class PlanService:
         self._prewarm_enabled = prewarm
         self._cv = threading.Condition()
         self._pending: list[_Entry] = []
-        self._inflight: dict[tuple, _Group] = {}
         self._outstanding = 0  # accepted, future not yet settled
         self._closed = False
-        self._completed_cache: LRUCache | None = (
-            LRUCache(completed_cache, None) if completed_cache > 0 else None
-        )
         self._stats = StatsAccumulator()
         self._pool = (
             ThreadPoolExecutor(
@@ -184,46 +139,21 @@ class PlanService:
     def submit(self, request: PlanRequest) -> Future:
         """Enqueue one request; the returned future resolves to its plan.
 
-        Validation (stack/gate shape) happens here, in the caller's
-        thread, so malformed requests fail fast instead of poisoning a
-        batch.
+        A request whose plan the workspace's L1 tier holds is answered
+        here, settled before it returns, consuming no queue capacity
+        and no coalescer work.  Malformed requests fail when the
+        :class:`~repro.api.request.PlanRequest` is built, in the
+        caller's thread, so they never poison a batch.
 
         Raises:
-            ConfigError: for a malformed request.
             ServiceClosedError: after :meth:`close`.
             QueueFullError: when the backlog is at capacity.
         """
-        stack, parallel, gates = Workspace.normalize_request(
-            request.stack, request.cluster, request.parallel,
-            request.gate_kind,
-        )
-        normalized = PlanRequest(
-            stack=stack,
-            system=request.system,
-            cluster=request.cluster,
-            parallel=parallel,
-            gate_kind=gates,
-            routing_overhead=float(request.routing_overhead),
-            include_gar=bool(request.include_gar),
-            noise=float(request.noise),
-            seed=int(request.seed),
-        )
-        key = (
-            stack,
-            request.cluster,
-            parallel,
-            gates,
-            tuple(request.system.fingerprint()),
-            normalized.routing_overhead,
-            normalized.include_gar,
-            normalized.noise,
-            normalized.seed,
-        )
+        # The request's identity is computed (once per request object)
+        # before the lock is taken.
+        digest = request.digest
         entry = _Entry(
-            request=normalized,
-            key=key,
-            future=Future(),
-            submitted=time.monotonic(),
+            request=request, future=Future(), submitted=time.monotonic()
         )
         with self._cv:
             if self._closed:
@@ -231,16 +161,12 @@ class PlanService:
                 raise ServiceClosedError(
                     "PlanService is closed and takes no new requests"
                 )
-            if self._completed_cache is not None:
-                cached = self._completed_cache.get(key)
-                if cached is not None:
-                    # A repeat of an already-resolved request: answer at
-                    # submit time, consuming no queue capacity and no
-                    # coalescer work.
-                    self._stats.request()
-                    self._stats.resolve_cached()
-                    entry.future.set_result(cached)
-                    return entry.future
+            cached = self.workspace.recall(digest)
+            if cached is not None:
+                self._stats.request()
+                self._stats.resolve_cached()
+                entry.future.set_result(cached)
+                return entry.future
             if len(self._pending) >= self._capacity:
                 self._stats.reject()
                 raise QueueFullError(
@@ -259,13 +185,7 @@ class PlanService:
 
     def stats_snapshot(self) -> ServiceStats:
         """Exact serving counters at this instant."""
-        snapshot = self._stats.snapshot()
-        if self._completed_cache is not None:
-            snapshot = replace(
-                snapshot,
-                futures_evicted=self._completed_cache.stats.evictions,
-            )
-        return snapshot
+        return self._stats.snapshot()
 
     #: property alias mirroring ``Workspace.stats``.
     stats = property(stats_snapshot)
@@ -388,8 +308,6 @@ class PlanService:
         for entry in batch:
             if entry.future.done():
                 continue  # already settled through its group
-            with self._cv:
-                self._inflight.pop(entry.key, None)
             self._settle(entry, error=error)
             self._stats.resolve(
                 group_size=1, failed=True, latencies_ms=[]
@@ -405,15 +323,16 @@ class PlanService:
         )
         try:
             self._stats.batch(len(batch))
-            new_groups: list[_Group] = []
-            with self._cv:
-                for entry in batch:
-                    group = self._inflight.get(entry.key)
-                    if group is None:
-                        group = _Group(key=entry.key, leader=entry.request)
-                        self._inflight[entry.key] = group
-                        new_groups.append(group)
-                    group.members.append(entry)
+            # Batches are processed one at a time, each to completion,
+            # so grouping one batch is all the dedup the service owns.
+            by_digest: dict[str, _Group] = {}
+            for entry in batch:
+                digest = entry.request.digest
+                group = by_digest.get(digest)
+                if group is None:
+                    group = by_digest[digest] = _Group(leader=entry.request)
+                group.members.append(entry)
+            new_groups = list(by_digest.values())
             if span is not None:
                 # Queue-wait vs resolve-time split: how long the batch
                 # sat in the queue (submission to drain) vs how long
@@ -458,35 +377,17 @@ class PlanService:
     def _prewarm(self, groups: list[_Group]) -> None:
         """One batched Algorithm-1 pass over a cold batch's contexts.
 
-        Also stamps each group's content digest (used for the
-        single-flight bookkeeping and skipping disk-cached groups).
-        Best-effort throughout: any failure here is swallowed so it
-        surfaces -- once, per group, through that group's futures -- in
-        the resolve step instead of poisoning the whole batch.
+        Groups whose plan is already on disk are skipped.  Best-effort
+        throughout: any failure here is swallowed so it surfaces --
+        once, per group, through that group's futures -- in the resolve
+        step instead of poisoning the whole batch.
         """
-        for group in groups:
-            req = group.leader
-            try:
-                group.digest = self.workspace.plan_digest(
-                    req.stack, req.system, req.cluster,
-                    parallel=req.parallel, gate_kind=req.gate_kind,
-                    routing_overhead=req.routing_overhead,
-                    include_gar=req.include_gar,
-                    noise=req.noise, seed=req.seed,
-                )
-            except Exception:
-                group.digest = None
         if not self._prewarm_enabled or len(groups) < 2:
             return
         by_rmax: dict[int, list] = {}
         for group in groups:
             req = group.leader
-            if (
-                group.digest is not None
-                and (
-                    self.workspace.plans_dir / f"{group.digest}.json"
-                ).exists()
-            ):
+            if (self.workspace.plans_dir / f"{req.digest}.json").exists():
                 continue  # already on disk: nothing to solve
             try:
                 compiler = self.workspace.compiler(
@@ -541,12 +442,7 @@ class PlanService:
         finally:
             if span is not None:
                 span.set(failed=error is not None).end()
-        if error is None and self._completed_cache is not None:
-            self._completed_cache.put(group.key, plan)
-        with self._cv:
-            group.done = True
-            self._inflight.pop(group.key, None)
-            members = group.members[:]
+        members = group.members
         now = time.monotonic()
         cancelled = 0
         for entry in members:

@@ -58,19 +58,15 @@ class ServiceStats(Stats):
         failed: requests resolved with an exception.
         rejected: submissions refused (queue full or service closed).
         dedup_hits: requests answered by another request's computation
-            (coalesced within a batch, or joined onto an in-flight
-            digest).  ``dedup_hits + resolved == completed`` always.
+            (coalesced within a batch, or answered from the workspace's
+            L1 tier at submit).  ``dedup_hits + resolved == completed``
+            always.
         resolved: distinct plan resolutions performed (one
             ``Workspace.plan`` call each).
         batches: coalescer flushes that processed at least one request.
         max_batch: most requests drained in one flush.
         coalesced_requests: total requests across all batches (mean
             batch size is ``coalesced_requests / batches``).
-        futures_evicted: completed resolutions dropped from the
-            service's bounded in-session plan cache to stay within its
-            entry bound (the cache answers repeat requests without
-            touching the queue; an evicted entry just falls back to the
-            workspace tiers).
         latency: the full exact latency histogram (every resolution's
             submission-to-resolution milliseconds, bucketed; exported
             as ``repro.serve.latency_ms``).
@@ -94,7 +90,6 @@ class ServiceStats(Stats):
     batches: int = 0
     max_batch: int = gauge()
     coalesced_requests: int = 0
-    futures_evicted: int = 0
     latency: HistogramSnapshot = histogram(
         "latency_ms", help="submission-to-resolution latency (ms)"
     )
@@ -186,7 +181,7 @@ class StatsAccumulator:
             self._latency.observe(latency_ms)
 
     def resolve_cached(self, latency_ms: float = 0.0) -> None:
-        """Record one request answered from the completed-plan cache.
+        """Record one request answered from the L1 tier at submit.
 
         The answer reuses an earlier resolution's work, so it counts as
         a dedup hit (``dedup_hits + resolved == completed`` still holds:

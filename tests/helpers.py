@@ -10,6 +10,25 @@ from repro.core.perf_model import LinearPerfModel
 from repro.planner import PlanCompiler
 
 
+def count_identity_calls(monkeypatch) -> list:
+    """Patch the plan-request identity computation to record each call.
+
+    Returns the list the patched function appends each request to, so a
+    test asserts exactly how often a request's digest was computed.
+    """
+    from repro.api import request as request_module
+
+    calls: list = []
+    compute = request_module._compute_identity
+
+    def counting(request):
+        calls.append(request)
+        return compute(request)
+
+    monkeypatch.setattr(request_module, "_compute_identity", counting)
+    return calls
+
+
 def config_result(
     spec, cluster, models, systems, num_layers=CONFIGURED_LAYER_COUNT
 ) -> ConfigResult:

@@ -25,7 +25,7 @@ from repro.cache import (
     TierStats,
     parse_address,
 )
-from repro.serve import PlanService
+from repro.serve import PlanRequest, PlanService
 from tests.test_workspace import SRC, tiny_spec
 
 pytestmark = pytest.mark.filterwarnings(
@@ -52,10 +52,9 @@ def plan_once(ws: Workspace, *, seq_len: int = 256):
     return ws.plan(stack, system, cluster)
 
 
-def plan_digest_of(ws: Workspace, *, seq_len: int = 256) -> str:
+def plan_digest_of(*, seq_len: int = 256) -> str:
     """The content address :func:`plan_once` reads and writes."""
-    stack, system, cluster = _request(seq_len)
-    return ws.plan_digest(stack, system, cluster)
+    return PlanRequest(*_request(seq_len)).digest
 
 
 class TestLRUCacheProperties:
@@ -311,7 +310,7 @@ class TestRemoteTierRouting:
 
         # force a recompile on a fresh root: the profiles ws1 published
         # answer from the shared tier, so nothing is re-fitted
-        server.store.delete(plan_digest_of(ws1))
+        server.store.delete(plan_digest_of())
         ws4 = Workspace(tmp_path / "c", remote=server.address)
         plan_once(ws4)
         stats4 = ws4.stats
@@ -323,7 +322,7 @@ class TestRemoteTierRouting:
         self, tmp_path, server
     ):
         ws = Workspace(tmp_path / "ws", remote=server.address)
-        dig = plan_digest_of(ws)
+        dig = plan_digest_of()
         server.store.put(dig, "definitely not a plan document")
         plan_once(ws)
         cache = ws.stats.cache
@@ -334,7 +333,7 @@ class TestRemoteTierRouting:
 
     def test_cross_version_remote_is_refused(self, tmp_path, server):
         ws = Workspace(tmp_path / "ws", remote=server.address)
-        dig = plan_digest_of(ws)
+        dig = plan_digest_of()
         doc = {"schema_version": 999, "key": ["?"], "plan": {}}
         server.store.put(dig, json.dumps(doc))
         plan_once(ws)
@@ -361,7 +360,7 @@ class TestRemoteTierRouting:
         root = tmp_path / "ws"
         ws1 = Workspace(root, remote=server.address)
         plan_once(ws1)
-        dig = plan_digest_of(ws1)
+        dig = plan_digest_of()
         plan_file = root / "plans" / f"{dig}.json"
         plan_file.write_text("truncated {")
         ws2 = Workspace(root, remote=server.address)
@@ -430,38 +429,36 @@ class TestServiceCompletedCache:
         assert stats.batches == 1  # the repeat never reached the queue
 
     def test_completed_cache_bounded_and_evictions_counted(self, tmp_path):
+        """The service remembers plans only through the bounded L1."""
         from repro.serve import duplicate_heavy_requests
 
         requests = duplicate_heavy_requests(2, 2, depth=2)
-        ws = Workspace(tmp_path / "ws")
-        with PlanService(
-            ws, flush_ms=0.0, completed_cache=1
-        ) as service:
+        ws = Workspace(tmp_path / "ws", l1_entries=1)
+        with PlanService(ws, flush_ms=0.0) as service:
             service.plan(requests[0])
             service.plan(requests[1])  # evicts the first entry
-            service.plan(requests[0])  # must re-resolve (via L1 tier)
+            service.plan(requests[0])  # must re-resolve (from L2)
             stats = service.stats_snapshot()
-        assert stats.futures_evicted >= 1
+        cache = ws.stats.cache
+        assert cache.l1.evictions == 2  # the refill evicted the second
+        assert cache.l1.hits == 0 and cache.l2.hits == 1
         assert stats.resolved == 3 and stats.completed == 3
         assert ws.stats.plan_misses == 2  # the workspace tiers caught it
 
     def test_completed_cache_disabled(self, tmp_path):
+        """Without an L1 tier every repeat resolves."""
         from repro.serve import duplicate_heavy_requests
 
         request = duplicate_heavy_requests(1, 1, depth=2)[0]
-        ws = Workspace(tmp_path / "ws")
-        with PlanService(
-            ws, flush_ms=0.0, completed_cache=0
-        ) as service:
+        ws = Workspace(tmp_path / "ws", l1_entries=0)
+        with PlanService(ws, flush_ms=0.0) as service:
             service.plan(request)
             service.plan(request)
             stats = service.stats_snapshot()
-        assert stats.resolved == 2 and stats.futures_evicted == 0
+        assert stats.resolved == 2 and stats.dedup_hits == 0
         assert stats.dedup_hits + stats.resolved == stats.completed
-
-    def test_negative_bound_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            PlanService(Workspace(tmp_path / "ws"), completed_cache=-1)
+        assert ws.stats.cache.l1 == TierStats()
+        assert ws.stats.cache.l2.hits == 1
 
 
 class TestGCBounds:

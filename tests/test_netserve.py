@@ -27,6 +27,7 @@ from repro import (
     ConfigError,
     NetClient,
     NetServer,
+    PlanRequest,
     ProtocolError,
     QueueFullError,
     ServiceError,
@@ -46,6 +47,7 @@ from repro.serve.protocol import (
     PROTOCOL_SCHEMA_VERSION,
     retry_priorities,
 )
+from tests.helpers import count_identity_calls
 
 TINY_PAYLOAD = {
     "cluster": "B",
@@ -223,11 +225,11 @@ class TestProtocolConformance:
             from repro.serve.protocol import parse_plan_payload
 
             request = parse_plan_payload(TINY_PAYLOAD)
-            expected = server.service.workspace.plan_digest(
+            direct = PlanRequest(
                 request.stack, request.system, request.cluster,
                 gate_kind=request.gate_kind,
             )
-            assert response["digest"] == expected
+            assert response["digest"] == direct.digest
         finally:
             client.close()
 
@@ -772,3 +774,30 @@ class TestSummaryOffTheLoop:
         assert repeats == [first] * 5
         assert window.resolved == 0 and window.completed == 5
         assert calls == []
+
+
+class TestOneRequestIdentity:
+    def test_identity_computed_once_per_distinct_payload(
+        self, fresh_server, monkeypatch
+    ):
+        calls = count_identity_calls(monkeypatch)
+        client = NetClient(fresh_server.address)
+        try:
+            cold = client.plan(TINY_PAYLOAD)
+            # parse-memo miss at submit, plus the resolution's
+            # Workspace.plan call
+            assert len(calls) == 2
+            repeat = client.plan(TINY_PAYLOAD, digest=True)
+            # parse-memo hit, submit-time answer and the digest field
+            # all read the memo
+            assert len(calls) == 2
+            respelled = client.plan({**TINY_PAYLOAD, "seed": 0})
+            # a parse-memo miss answered at submit: computed once
+            assert len(calls) == 3
+            service = fresh_server.service.stats_snapshot()
+        finally:
+            client.close()
+        assert cold["result"] == repeat["result"] == respelled["result"]
+        assert repeat["digest"] == calls[0].digest
+        assert service.resolved == 1 and service.dedup_hits == 2
+        assert service.dedup_hits + service.resolved == service.completed

@@ -728,7 +728,7 @@ WORKSPACE_SERIES = {
         f"repro_serve_{name}": "counter"
         for name in (
             "requests", "completed", "failed", "rejected", "dedup_hits",
-            "resolved", "batches", "coalesced_requests", "futures_evicted",
+            "resolved", "batches", "coalesced_requests",
         )
     },
     **{

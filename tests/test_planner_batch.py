@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro import ExperimentSpec, StackSpec, Workspace
+from repro import ExperimentSpec, PlanRequest, StackSpec, Workspace
 from repro.errors import ConfigError
 from repro.planner import PlanCompiler, ProfileStore
 from repro.systems import DeepSpeedMoE, FSMoE, Tutel
@@ -102,9 +102,9 @@ class TestGrid:
         assert slower.name == cluster_b.name
         workspace = Workspace(tmp_path)
         stack = [small_spec] * 2
-        assert workspace.plan_digest(
-            stack, Tutel(), cluster_b
-        ) != workspace.plan_digest(stack, Tutel(), slower)
+        assert PlanRequest(stack, Tutel(), cluster_b).digest != (
+            PlanRequest(stack, Tutel(), slower).digest
+        )
         fast = workspace.plan(stack, Tutel(), cluster_b)
         slow = workspace.plan(stack, Tutel(), slower)
         assert workspace.stats.plan_misses == 2

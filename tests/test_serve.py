@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 
 import pytest
@@ -19,6 +21,7 @@ from repro import (
 from repro.serve import duplicate_heavy_requests
 from repro.serve.stats import percentile
 from repro.systems.registry import get_system
+from tests.helpers import count_identity_calls
 
 
 def tiny_request(cluster_b, *, seq_len=256, system="tutel", depth=2):
@@ -337,6 +340,108 @@ class TestStatsSurface:
             assert service.join(timeout_s=30.0)
             for future in futures:
                 assert future.done()
+
+
+class TestOneRequestIdentity:
+    def test_workspace_clear_drops_the_services_memory(
+        self, workspace, cluster_b
+    ):
+        """L1 is the only in-memory plan tier: clearing it forgets."""
+        request = tiny_request(cluster_b)
+        with PlanService(workspace, flush_ms=0.0) as service:
+            service.plan(request)
+            workspace.clear()
+            service.plan(request)
+            stats = service.stats_snapshot()
+            info = workspace.cache_info()
+        assert stats.resolved == 2 and stats.dedup_hits == 0
+        assert workspace.stats.plan_misses == 1  # recompiled after clear
+        assert info["l1_entries"] == 1 and info["plan_entries"] == 1
+
+    def test_identity_computed_once_per_request_and_plan_call(
+        self, workspace, cluster_b, monkeypatch
+    ):
+        calls = count_identity_calls(monkeypatch)
+        first = tiny_request(cluster_b)
+        second = tiny_request(cluster_b, seq_len=384)
+        with PlanService(workspace, flush_ms=250.0) as service:
+            futures = [
+                service.submit(request)
+                for request in (first, second, first, second)
+            ]
+            [future.result(timeout=60) for future in futures]
+            # one per request object at submit, one per group's
+            # Workspace.plan call; the 2-group batch's prewarm reads
+            # the memo
+            assert len(calls) == 4
+            assert service.stats_snapshot().resolved == 2
+            service.plan(first)  # a submit-time answer reads the memo
+            assert len(calls) == 4
+
+    def test_cold_workspace_plan_computes_identity_once(
+        self, tmp_path, cluster_b, monkeypatch
+    ):
+        calls = count_identity_calls(monkeypatch)
+        request = tiny_request(cluster_b)
+        traced = Workspace(tmp_path / "ws", trace=True)
+        traced.plan(request.stack, request.system, request.cluster)
+        assert len(calls) == 1
+
+    def test_identity_memo_is_invisible_and_thread_safe(self, cluster_b):
+        request = tiny_request(cluster_b)
+        twin = dataclasses.replace(request)  # equal fields, its own memo
+        before = (repr(request), hash(request))
+        barrier = threading.Barrier(8)
+        digests: list[str] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def read() -> None:
+                barrier.wait(timeout=30)
+                digests.append(request.digest)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [twin.digest] * 8
+        assert (repr(request), hash(request)) == before
+        assert request == twin and "_identity_memo" not in repr(request)
+
+    def test_l1_counts_one_lookup_per_request(self, tmp_path, cluster_b):
+        """cold -> repeat -> evicted repeat: never two L1 lookups."""
+        workspace = Workspace(tmp_path / "ws", l1_entries=1)
+        first = tiny_request(cluster_b)
+        other = tiny_request(cluster_b, seq_len=384)
+        with PlanService(workspace, flush_ms=0.0) as service:
+
+            def step(request) -> tuple:
+                before, served = workspace.stats, service.stats_snapshot()
+                service.plan(request)
+                window = workspace.stats.since(before)
+                delta = service.stats_snapshot() - served
+                return (
+                    window.cache.l1.hits, window.cache.l1.misses,
+                    window.cache.l2.hits, window.plan_hits,
+                    delta.resolved, delta.dedup_hits,
+                )
+
+            # cold: the resolution's one L1 probe misses, then compiles
+            assert step(first) == (0, 1, 0, 0, 1, 0)
+            # repeat: one counted L1 hit at submit, nothing queued
+            assert step(first) == (1, 0, 0, 1, 0, 1)
+            step(other)  # evicts the first plan from the 1-entry L1
+            # evicted repeat: submit counts nothing, the resolution's
+            # probe misses and L2 answers
+            assert step(first) == (0, 1, 1, 1, 1, 0)
+            stats = service.stats_snapshot()
+        assert stats.dedup_hits + stats.resolved == stats.completed == 4
+        assert stats.batches == 3
 
 
 class TestLoadGenerator:
