@@ -384,7 +384,6 @@ class Workspace:
         self._counter_lock = threading.RLock()
         self._plan_futures: dict[str, Future] = {}
         self._plan_counts = CounterCell(WorkspaceStats, self._counter_lock)
-        self._saved: set[tuple] = set()  # full keys already on disk
         self._service_stats: Callable[[], "ServiceStats"] | None = None
         if l1_entries is None:
             l1_entries = DEFAULT_MAX_ENTRIES
@@ -433,7 +432,6 @@ class Workspace:
                 ) from None
             entries[full_key] = value
         self.store.preload(entries)
-        self._saved = set(entries)
 
     def _bind_store_remote(self) -> None:
         """Route the profile store through the shared tier, if configured."""
@@ -472,21 +470,24 @@ class Workspace:
         self._prc.inc("writes" if stored else "errors")
 
     def save(self) -> None:
-        """Write every settled profile that is not on disk yet.
+        """Write every profile settled since the last save.
 
         Each profile is its own content-addressed file, written once and
-        atomically; nothing on disk is read, merged or rewritten, so the
-        cost is what changed since the last save.  Processes sharing
-        this root union their profiles by construction: concurrent
-        writers of one file write identical bytes (profiling is
-        deterministic in its key).
+        atomically; nothing on disk is read, merged or rewritten, and the
+        store journals what settled, so the cost is what changed since
+        the last save -- not the size of the store.  A write that fails
+        leaves its profile journaled, and the next save retries it.
+        Processes sharing this root union their profiles by
+        construction: concurrent writers of one file write identical
+        bytes (profiling is deterministic in its key).
         """
+
+        def write(full_key: tuple, value: object) -> None:
+            dig, text = _profile_document(full_key, value)
+            _atomic_write(self.profiles_dir / f"{dig}.json", text)
+
         with self._io_lock:
-            for full_key, value in self.store.entries().items():
-                if full_key not in self._saved:
-                    dig, text = _profile_document(full_key, value)
-                    _atomic_write(self.profiles_dir / f"{dig}.json", text)
-                    self._saved.add(full_key)
+            self.store.drain_settled(write)
 
     # -- stats ---------------------------------------------------------------
 
@@ -567,7 +568,6 @@ class Workspace:
         """
         with self._io_lock:
             self.discard(self.root)
-            self._saved = set()
         if self._l1 is not None:
             self._l1.clear(reset_stats=True)
         with self._counter_lock:

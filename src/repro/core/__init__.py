@@ -12,7 +12,8 @@
   (``FindOptimalPipelineDegree``): solver dispatch between the batched
   exact sweep and the paper's SLSQP relaxation;
 * :mod:`~repro.core.fastsolve` -- the vectorized batched Algorithm-1
-  solver (every integer degree of every context in one array pass);
+  solver (every integer degree of every context in one array pass) and
+  the merged-comm degree sweeps (a scalar recurrence per degree);
 * :mod:`~repro.core.context` -- :class:`SolverContext`, one planning
   session's solver memos, exact counters and Algorithm-1 choice;
 * :mod:`~repro.core.gradient_partition` -- the two-step adaptive gradient

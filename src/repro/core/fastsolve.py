@@ -138,8 +138,11 @@ def solve_degree(
 # one stream, so its per-phase degree comes from sweeping its *own*
 # schedule's makespan.  The sweep used to build and event-simulate one
 # task graph per candidate degree; the functions below replace that with
-# a closed recurrence over the merged comm stream, evaluated for every
-# degree at once, bit-identical to the discrete-event engine.
+# a closed recurrence over the merged comm stream, bit-identical to the
+# discrete-event engine.  It runs on plain floats, one degree at a time:
+# at r_max = 16 each step would touch a 16-element array, where NumPy's
+# per-call overhead costs far more than the arithmetic, so an array
+# formulation across degrees was ~10x slower than this scalar loop.
 #
 # Why a recurrence is exact: on the merged stream the engine's priorities
 # enforce a fixed structure per MoE block.  All r dispatches run first
@@ -169,10 +172,10 @@ def merged_phase_times(
     """Makespans of one merged-comm phase at every degree ``1..r_max``.
 
     Evaluates the 2-stream (merged comm) schedule of a whole stack --
-    ``ctxs``/``dense_ms`` in *execution* order -- for all integer pipeline
-    degrees in one vectorized recurrence.  Entry ``j`` of the result is
-    bit-identical to ``simulate(build_iteration_graph(spec, phase)).
-    makespan_ms`` at degree ``j + 1``.
+    ``ctxs``/``dense_ms`` in *execution* order -- at every integer
+    pipeline degree, one scalar recurrence per degree.  Entry ``j`` of
+    the result is bit-identical to ``simulate(build_iteration_graph(spec,
+    phase)).makespan_ms`` at degree ``j + 1``.
 
     Args:
         ctxs: per-layer pipeline contexts, execution order (reverse the
@@ -185,7 +188,7 @@ def merged_phase_times(
             iteration (None = the phase starts at 0).
 
     Returns:
-        ``(r_max,)`` array of phase makespans in ms.
+        ``(r_max,)`` float64 array of phase makespans in ms.
 
     Raises:
         SolverError: if ``r_max < 1`` or the lengths disagree.
@@ -193,80 +196,71 @@ def merged_phase_times(
     if r_max < 1:
         raise SolverError(f"r_max must be >= 1, got {r_max}")
     ctxs = list(ctxs)
-    dense_ms = list(dense_ms)
+    dense_ms = [float(dense) for dense in dense_ms]
     if len(ctxs) != len(dense_ms):
         raise SolverError(
             f"{len(ctxs)} contexts but {len(dense_ms)} dense durations"
         )
-    degrees = np.arange(1, r_max + 1, dtype=float)
-    r_col = np.arange(1, r_max + 1)
-    rows = np.arange(r_max)
-    prev = np.zeros(r_max) if start is None else np.asarray(start, float)
-    for ctx, dense in zip(ctxs, dense_ms):
-        # Per-chunk op times at every degree (LinearPerfModel.chunk_time_ms,
-        # expression-for-expression).
-        t_d = np.where(
-            ctx.n_a2a > 0,
-            ctx.a2a.alpha + (ctx.n_a2a / degrees) * ctx.a2a.beta,
-            0.0,
-        )
-        t_g = np.where(
-            ctx.n_ag > 0,
-            ctx.ag.alpha + (ctx.n_ag / degrees) * ctx.ag.beta,
-            0.0,
-        )
-        t_s = np.where(
-            ctx.n_rs > 0,
-            ctx.rs.alpha + (ctx.n_rs / degrees) * ctx.rs.beta,
-            0.0,
-        )
-        t_e = np.where(
-            ctx.n_exp > 0,
-            ctx.exp.alpha + (ctx.n_exp / degrees) * ctx.exp.beta,
-            0.0,
-        )
-        entry = prev + dense if dense_first else prev
-        compute_free = entry
-        # Dispatch prologue: D(0..r-1) back to back on the comm stream.
-        t = entry.copy()
-        for i in range(r_max):
-            t = np.where(i < r_col, t + t_d, t)
-        # AG / fused RS+C slots.  TE[j, i] = end of E(i) at degree j + 1.
-        TE = np.zeros((r_max, r_max))
-        a = np.zeros(r_max, dtype=int)  # next AllGather index
-        f = np.zeros(r_max, dtype=int)  # next fused RS+C index
-        last_was_ag = np.zeros(r_max, dtype=bool)
-        for _ in range(2 * r_max):
-            active = f < r_col
-            if not active.any():
-                break
-            te_f = TE[rows, np.minimum(f, r_max - 1)]
-            # Exact-tie event order: E(f)'s completion pops before the
-            # op that freed the stream unless that op is AG(f) itself.
-            ag_f_tie = last_was_ag & (a == f + 1)
-            can_f = active & (f < a) & (
-                (te_f < t) | ((te_f == t) & ~ag_f_tie)
+    layers = list(zip(ctxs, dense_ms))
+    times = np.zeros(r_max)
+    for j in range(r_max):
+        t = 0.0 if start is None else float(start[j])
+        for ctx, dense in layers:
+            if dense_first:
+                t = _merged_block_end(ctx, j + 1, t + dense)
+            else:
+                t = _merged_block_end(ctx, j + 1, t) + dense
+        times[j] = t
+    return times
+
+
+def _merged_block_end(ctx: PipelineContext, r: int, entry: float) -> float:
+    """Finish time of one MoE block on the merged stream at degree ``r``.
+
+    ``entry`` is when the block's dispatches may start (the preceding
+    dense op's finish).  Plain floats throughout: at the default
+    ``r_max`` of 16 the recurrence is a few dozen adds and maxes per
+    degree, far below the per-call overhead of array operations.
+    """
+    rf = float(r)
+    # Per-chunk op times (LinearPerfModel.chunk_time_ms).
+    t_d = float(ctx.a2a.chunk_time_ms(ctx.n_a2a, rf))
+    t_g = float(ctx.ag.chunk_time_ms(ctx.n_ag, rf))
+    t_s = float(ctx.rs.chunk_time_ms(ctx.n_rs, rf))
+    t_e = float(ctx.exp.chunk_time_ms(ctx.n_exp, rf))
+    # Dispatch prologue: D(0..r-1) back to back on the comm stream.
+    t = entry
+    for _ in range(r):
+        t = t + t_d
+    # AG / fused RS+C slots.  te[i] = end of E(i).
+    te = [0.0] * r
+    a = 0  # next AllGather index
+    f = 0  # next fused RS+C index
+    last_was_ag = False
+    while f < r:
+        te_f = te[f]
+        # Exact-tie event order: E(f)'s completion pops before the op
+        # that freed the stream unless that op is AG(f) itself.
+        if a >= r or (
+            f < a
+            and (
+                te_f < t
+                or (te_f == t and not (last_was_ag and a == f + 1))
             )
-            must_f = active & (a >= r_col)
-            run_f = can_f | must_f
-            run_ag = active & ~run_f
+        ):
+            # Fused slot: RS(f) then C(f) back to back.
+            t = (max(t, te_f) + t_s) + t_d
+            f += 1
+            last_was_ag = False
+        else:
             # AllGather slot: also settles E(a)'s completion time.
             end_ag = t + t_g
-            te_prev = np.where(
-                a > 0, TE[rows, np.maximum(a - 1, 0)], compute_free
-            )
-            te_new = np.maximum(end_ag, te_prev) + t_e
-            a_idx = np.minimum(a, r_max - 1)
-            TE[rows[run_ag], a_idx[run_ag]] = te_new[run_ag]
-            t = np.where(run_ag, end_ag, t)
-            a = a + run_ag
-            # Fused slot: RS(f) then C(f) back to back.
-            end_f = (np.maximum(t, te_f) + t_s) + t_d
-            t = np.where(run_f, end_f, t)
-            f = f + run_f
-            last_was_ag = run_ag | (last_was_ag & ~run_f)
-        prev = t if dense_first else t + dense
-    return prev
+            te_prev = te[a - 1] if a > 0 else entry
+            te[a] = max(end_ag, te_prev) + t_e
+            t = end_ag
+            a += 1
+            last_was_ag = True
+    return t
 
 
 def merged_iteration_times(

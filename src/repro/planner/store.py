@@ -92,6 +92,8 @@ class ProfileStore:
         self.solver_context = SolverContext(degree_solver)
         self._lock = threading.Lock()
         self._entries: dict[tuple, Future] = {}
+        # (full key, value) of each entry settled since the last drain.
+        self._journal: list[tuple[tuple, object]] = []
         self._cluster_hits = 0
         self._cluster_misses = 0
         self._layer_hits = 0
@@ -152,22 +154,27 @@ class ProfileStore:
 
     # -- persistence hooks ---------------------------------------------------
 
-    def entries(self) -> dict[tuple, object]:
-        """Snapshot of every *settled* cache entry, keyed by its full key.
+    def drain_settled(self, write: Callable[[tuple, object], None]) -> None:
+        """Hand every entry settled since the last drain to ``write``.
 
-        Full keys start with the namespace (``"cluster"`` or ``"layer"``);
-        in-flight and failed computations are excluded.  This is the
-        export side of :meth:`preload` -- together they let a
-        :class:`~repro.api.workspace.Workspace` persist the store to disk
-        and warm-start a later process.
+        Entries are journaled as they settle -- computed here or fetched
+        from the shared tier -- keyed by their full key (namespace
+        first); preloaded, in-flight and failed ones never are.  This is
+        the export side of :meth:`preload`: a
+        :class:`~repro.api.workspace.Workspace` persists each profile
+        once, at a cost that follows what settled, not the store's size.
+        If ``write`` raises, that entry and every later one stay
+        journaled for the next drain.
         """
         with self._lock:
-            futures = dict(self._entries)
-        return {
-            key: future.result()
-            for key, future in futures.items()
-            if future.done() and future.exception() is None
-        }
+            pending, self._journal = self._journal, []
+        for index, (full_key, value) in enumerate(pending):
+            try:
+                write(full_key, value)
+            except BaseException:
+                with self._lock:
+                    self._journal[:0] = pending[index:]
+                raise
 
     def preload(self, entries: dict[tuple, object]) -> None:
         """Seed the cache with previously exported entries.
@@ -209,7 +216,9 @@ class ProfileStore:
                 # Served by the shared tier: this session computed
                 # nothing, so it is a hit -- a warm fleet keeps
                 # ``misses == 0``.
-                self._count(namespace, hit=True)
+                with self._lock:
+                    self._count_locked(namespace, hit=True)
+                    self._journal.append((full_key, value))
                 future.set_result(value)
             else:
                 self._count(namespace, hit=False)
@@ -220,6 +229,8 @@ class ProfileStore:
                         del self._entries[full_key]
                     future.set_exception(exc)
                 else:
+                    with self._lock:
+                        self._journal.append((full_key, result))
                     future.set_result(result)
                     publish = self._remote_publish
                     if publish is not None:

@@ -38,6 +38,7 @@ from ..core.schedules import (
 )
 from ..errors import SolverError
 from ..models.transformer import LayerProfile
+from ..obs.trace import maybe_span
 from .base import TrainingSystem
 
 #: bound on a context's memo of partition plans.
@@ -244,25 +245,36 @@ def sweep_merged_phase_degree(
     *own* schedule's makespan -- still adaptive and per-phase, just
     against the correct stream model.
 
-    The sweep is the vectorized recurrence of
-    :func:`~repro.core.fastsolve.merged_phase_times`: every integer
-    degree of the whole stack in one array pass, bit-identical (degree
-    and makespan) to building and event-simulating one task graph per
-    degree (the simulate-per-degree reference in ``tests/oracles``).
+    The sweep is the scalar per-degree recurrence of
+    :func:`~repro.core.fastsolve.merged_phase_times` over the whole
+    stack, bit-identical (degree and makespan) to building and
+    event-simulating one task graph per degree (the simulate-per-degree
+    reference in ``tests/oracles``).  Traced as a ``sweep_degree`` span
+    (``kind="merged_phase"``); the memoized caller only reaches it on a
+    miss.
     """
-    if phase == "forward":
-        ctxs = [p.ctx_fw for p in profiles]
-        dense = [p.dense_fw_ms for p in profiles]
-        dense_first = True
-    else:
-        # Backward executes the stack in reverse, dense after each block.
-        ctxs = [p.ctx_bw for p in reversed(profiles)]
-        dense = [p.dense_bw_ms for p in reversed(profiles)]
-        dense_first = False
-    degree, _ = solve_merged_phase_degree(
-        ctxs, dense, r_max, dense_first=dense_first
+    span = maybe_span(
+        "sweep_degree",
+        {"kind": "merged_phase", "layers": len(profiles), "r_max": int(r_max)},
     )
-    return degree
+    try:
+        if phase == "forward":
+            ctxs = [p.ctx_fw for p in profiles]
+            dense = [p.dense_fw_ms for p in profiles]
+            dense_first = True
+        else:
+            # Backward executes the stack in reverse, dense after each
+            # block.
+            ctxs = [p.ctx_bw for p in reversed(profiles)]
+            dense = [p.dense_bw_ms for p in reversed(profiles)]
+            dense_first = False
+        degree, _ = solve_merged_phase_degree(
+            ctxs, dense, r_max, dense_first=dense_first
+        )
+        return degree
+    finally:
+        if span is not None:
+            span.end()
 
 
 class FSMoENoIIO(FSMoE):

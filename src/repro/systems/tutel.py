@@ -26,6 +26,7 @@ from ..core.schedules import (
     TWO_STREAM,
 )
 from ..models.transformer import LayerProfile
+from ..obs.trace import maybe_span
 from .base import TrainingSystem
 
 #: bound on a context's memo of oracle degrees.
@@ -56,23 +57,33 @@ def sweep_oracle_degree(
 ) -> int:
     """Integer sweep of the PipeMoE schedule's iteration time.
 
-    Vectorized: all degrees of the full fw+bw+GAR-tail iteration in one
-    :func:`~repro.core.fastsolve.merged_iteration_times` pass,
-    bit-identical to building and event-simulating one task graph per
-    degree (the simulate-per-degree reference in ``tests/oracles``).
+    All degrees of the full fw+bw+GAR-tail iteration in one
+    :func:`~repro.core.fastsolve.merged_iteration_times` call (a scalar
+    recurrence per degree), bit-identical to building and
+    event-simulating one task graph per degree (the simulate-per-degree
+    reference in ``tests/oracles``).  Traced as a ``sweep_degree`` span
+    (``kind="oracle"``); the memoized caller only reaches it on a miss.
     """
-    times = merged_iteration_times(
-        [p.ctx_fw for p in profiles],
-        [p.dense_fw_ms for p in profiles],
-        [p.ctx_bw for p in profiles],
-        [p.dense_bw_ms for p in profiles],
-        [
-            models.allreduce.time_ms(p.grad_bytes) if include_gar else 0.0
-            for p in profiles
-        ],
-        r_max,
+    span = maybe_span(
+        "sweep_degree",
+        {"kind": "oracle", "layers": len(profiles), "r_max": int(r_max)},
     )
-    return best_swept_degree(times)[0]
+    try:
+        times = merged_iteration_times(
+            [p.ctx_fw for p in profiles],
+            [p.dense_fw_ms for p in profiles],
+            [p.ctx_bw for p in profiles],
+            [p.dense_bw_ms for p in profiles],
+            [
+                models.allreduce.time_ms(p.grad_bytes) if include_gar else 0.0
+                for p in profiles
+            ],
+            r_max,
+        )
+        return best_swept_degree(times)[0]
+    finally:
+        if span is not None:
+            span.end()
 
 
 def _pipemoe_spec(

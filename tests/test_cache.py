@@ -318,6 +318,21 @@ class TestRemoteTierRouting:
         assert stats4.cache.profiles_remote.hits > 0
         assert stats4.profiles.misses == 0 and stats4.warm is False
 
+    def test_profiles_fetched_from_l3_land_on_disk(self, tmp_path, server):
+        plan_once(Workspace(tmp_path / "a", remote=server.address))
+        published = sorted(
+            path.name for path in (tmp_path / "a" / "profiles").iterdir()
+        )
+        server.store.delete(plan_digest_of())  # force a recompile
+        ws = Workspace(tmp_path / "b", remote=server.address)
+        plan_once(ws)
+        stats = ws.stats
+        assert stats.plan_misses == 1 and stats.profiles.misses == 0
+        assert stats.cache.profiles_remote.hits == len(published)
+        assert sorted(
+            path.name for path in (tmp_path / "b" / "profiles").iterdir()
+        ) == published
+
     def test_corrupt_remote_value_refused_and_recompiled(
         self, tmp_path, server
     ):

@@ -1,6 +1,8 @@
-"""The vectorized No-IIO sweep pinned against the simulate-per-degree path."""
+"""The merged-comm degree sweep pinned against the simulate-per-degree path."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro import MoELayerSpec, SolverError
 from repro.core.constraints import PipelineContext
 from repro.core.fastsolve import (
+    merged_iteration_times,
     merged_phase_times,
     solve_merged_phase_degree,
 )
@@ -23,7 +26,6 @@ from repro.core.schedules import (
 )
 from repro.models import profile_layer
 from repro.sim.engine import simulate
-from repro.core.fastsolve import merged_iteration_times
 from repro.systems.fsmoe import FSMoENoIIO, sweep_merged_phase_degree
 from repro.systems.tutel import Tutel, _pipemoe_spec, sweep_oracle_degree
 
@@ -31,6 +33,8 @@ from .helpers import pipeline_contexts
 from .oracles.sweeps import merged_phase_degree_sim, oracle_degree_sim
 
 R_MAX = 8
+#: the systems' default degree bound, the shape every cold compile sweeps.
+PRODUCTION_R_MAX = 16
 
 
 def _sim_phase_time(ctxs, dense_ms, r, phase):
@@ -75,6 +79,61 @@ class TestMergedPhaseTimes:
         for r in range(1, R_MAX + 1):
             assert times[r - 1] == _sim_phase_time(ctxs, denses, r, phase)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ctxs=st.lists(pipeline_contexts(), min_size=1, max_size=4),
+        denses=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+        phase=st.sampled_from(["forward", "backward"]),
+    )
+    def test_bit_identical_to_simulator_at_production_shape(
+        self, ctxs, denses, phase
+    ):
+        denses = denses[: len(ctxs)]
+        exec_ctxs, exec_dense, dense_first = _exec_order(
+            ctxs, denses, phase
+        )
+        times = merged_phase_times(
+            exec_ctxs, exec_dense, PRODUCTION_R_MAX, dense_first=dense_first
+        )
+        for r in range(1, PRODUCTION_R_MAX + 1):
+            assert times[r - 1] == _sim_phase_time(ctxs, denses, r, phase)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        ctxs=st.lists(pipeline_contexts(), min_size=1, max_size=3),
+        denses=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_start_composes_phases(self, ctxs, denses):
+        """Forward then backward entered at its finish is the iteration."""
+        denses = denses[: len(ctxs)]
+        forward_end = merged_phase_times(ctxs, denses, PRODUCTION_R_MAX)
+        composed = merged_phase_times(
+            ctxs[::-1], denses[::-1], PRODUCTION_R_MAX,
+            dense_first=False, start=forward_end,
+        )
+        iteration = merged_iteration_times(
+            ctxs, denses, ctxs, denses, (), PRODUCTION_R_MAX
+        )
+        assert np.array_equal(composed, iteration)
+        for r in range(1, PRODUCTION_R_MAX + 1):
+            assert composed[r - 1] == _sim_phase_time(ctxs, denses, r, "both")
+
+    @pytest.mark.parametrize("start", [None, np.linspace(0.0, 3.0, 16)])
+    def test_returns_float64_array_of_r_max(self, start):
+        ctx = PipelineContext(
+            a2a=LinearPerfModel(0.1, 1e-6), n_a2a=1e6,
+            ag=LinearPerfModel(0.1, 1e-6), n_ag=1e5,
+            rs=LinearPerfModel(0.1, 1e-6), n_rs=1e5,
+            exp=LinearPerfModel(0.1, 1e-9), n_exp=1e8,
+        )
+        for ctxs in ([], [ctx], [ctx] * 3):
+            times = merged_phase_times(
+                ctxs, [0.5] * len(ctxs), PRODUCTION_R_MAX, start=start
+            )
+            assert isinstance(times, np.ndarray)
+            assert times.dtype == np.float64
+            assert times.shape == (PRODUCTION_R_MAX,)
+
     def test_degenerate_zero_volume_ops(self):
         """Zero-size ops (0 ms tasks) hit the engine's tie-breaking."""
         zero = LinearPerfModel(alpha=0.0, beta=1e-6)
@@ -93,21 +152,21 @@ class TestMergedPhaseTimes:
             PipelineContext(a2a=zero, n_a2a=0.0, ag=zero, n_ag=0.0,
                             rs=zero, n_rs=0.0, exp=zero, n_exp=0.0),
         ]
-        for ctx in cases:
-            for phase in ("forward", "backward"):
-                for dense in (0.0, 0.5):
-                    ctxs, denses = [ctx, ctx], [dense, dense]
-                    exec_ctxs, exec_dense, dense_first = _exec_order(
-                        ctxs, denses, phase
-                    )
-                    times = merged_phase_times(
-                        exec_ctxs, exec_dense, R_MAX,
-                        dense_first=dense_first,
-                    )
-                    for r in range(1, R_MAX + 1):
-                        assert times[r - 1] == _sim_phase_time(
-                            ctxs, denses, r, phase
-                        )
+        for ctx, phase, dense, r_max in itertools.product(
+            cases, ("forward", "backward"), (0.0, 0.5),
+            (R_MAX, PRODUCTION_R_MAX),
+        ):
+            ctxs, denses = [ctx, ctx], [dense, dense]
+            exec_ctxs, exec_dense, dense_first = _exec_order(
+                ctxs, denses, phase
+            )
+            times = merged_phase_times(
+                exec_ctxs, exec_dense, r_max, dense_first=dense_first
+            )
+            for r in range(1, r_max + 1):
+                assert times[r - 1] == _sim_phase_time(
+                    ctxs, denses, r, phase
+                )
 
     def test_input_validation(self):
         ctx = PipelineContext(

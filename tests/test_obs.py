@@ -937,6 +937,38 @@ class TestWorkspaceTracing:
         assert plan.attrs["digest"]
         assert plan.attrs["layers"] == 1
 
+    @pytest.mark.parametrize(
+        "system, kind, sweeps, memo_hit",
+        [
+            # No-IIO sweeps each phase; a plan without gradient sync
+            # asks the same (profiles, r_max, phase) questions.
+            ("fsmoe-no-iio", "merged_phase", 2, ("fsmoe-no-iio", False)),
+            # Tutel-Improved asks Tutel's oracle the same question.
+            ("tutel", "oracle", 1, ("tutel-improved", True)),
+        ],
+    )
+    def test_cold_compile_traces_degree_sweeps(
+        self, tmp_path, cluster_b, system, kind, sweeps, memo_hit
+    ):
+        workspace = Workspace(tmp_path / "ws", trace=True)
+        workspace.plan(tiny_stack(2), get_system(system), cluster_b)
+        records = workspace.tracer.spans()
+        (compile_record,) = [r for r in records if r.name == "compile"]
+        swept = [r for r in records if r.name == "sweep_degree"]
+        assert len(swept) == sweeps
+        for record in swept:
+            assert record.parent_id == compile_record.span_id
+            assert record.attrs == {"kind": kind, "layers": 2, "r_max": 16}
+
+        workspace.tracer.clear()
+        other, include_gar = memo_hit
+        workspace.plan(
+            tiny_stack(2), get_system(other), cluster_b,
+            include_gar=include_gar,
+        )
+        names = [r.name for r in workspace.tracer.spans()]
+        assert "compile" in names and "sweep_degree" not in names
+
     def test_warm_plan_traces_single_l1_hit(self, tmp_path, cluster_b):
         workspace = Workspace(tmp_path / "ws", trace=True)
         workspace.plan(tiny_stack(), get_system("tutel"), cluster_b)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -92,6 +93,74 @@ class TestLayerProfiles:
         with pytest.raises(AttributeError):
             store.layer_profile(small_spec, parallel_b, None)
         assert len(store) == 0
+
+
+class TestJournal:
+    def test_drain_hands_over_each_settled_entry_once(
+        self, cluster_b, parallel_b, small_spec
+    ):
+        store = ProfileStore()
+        store.preload({("cluster", "preloaded"): "from disk"})
+        with pytest.raises(AttributeError):  # failed: never journaled
+            store.layer_profile(small_spec, parallel_b, None)
+        models = store.models(cluster_b, parallel_b)
+        store.models(cluster_b, parallel_b)  # a hit settles nothing
+        drained = []
+        store.drain_settled(lambda key, value: drained.append((key, value)))
+        assert [key[0] for key, _ in drained] == ["cluster"]
+        assert drained[0][1].models is models
+        store.drain_settled(lambda key, value: drained.append(key))
+        assert len(drained) == 1
+
+    def test_failed_write_keeps_the_rest_journaled(
+        self, cluster_b, parallel_b, small_spec
+    ):
+        store = ProfileStore()
+        models = store.models(cluster_b, parallel_b)
+        store.layer_profile(small_spec, parallel_b, models)
+
+        def refuse(key, value):
+            raise OSError("refused")
+
+        with pytest.raises(OSError):
+            store.drain_settled(refuse)
+        drained = []
+        store.drain_settled(lambda key, value: drained.append(key[0]))
+        assert drained == ["cluster", "layer"]
+
+
+    def test_concurrent_settles_and_drains_lose_nothing(self):
+        store = ProfileStore()
+        drained: list[tuple] = []
+        drained_lock = threading.Lock()
+
+        def write(full_key, value):
+            with drained_lock:
+                drained.append(full_key)
+
+        def worker(first: int) -> None:
+            for i in range(first, first + 200):
+                key = i % 300  # workers overlap: each key settles once
+                store._memoize("layer", (key,), lambda key=key: key)
+                if i % 7 == 0:
+                    store.drain_settled(write)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(100 * n,))
+                for n in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        store.drain_settled(write)
+        assert sorted(drained) == [("layer", key) for key in range(300)]
 
 
 class TestStats:

@@ -490,6 +490,87 @@ class TestProfileFiles:
         assert [p for p, _ in writes if p.parent == profiles] == []
         assert not (root / ".workspace.lock").exists()
 
+    def test_each_save_writes_exactly_what_settled_since_the_last(
+        self, tmp_path, monkeypatch
+    ):
+        writes = self._record_writes(monkeypatch)
+        root = tmp_path / "ws"
+        cluster = make_testbed_b()
+        stacks = [
+            [_layer(256)],
+            [_layer(256), _layer(384)],
+            [_layer(384), _layer(256)],  # nothing new
+            [_layer(512), _layer(640), _layer(256)],
+        ]
+        ws = Workspace(root, autosave=False)
+        on_disk: set[Path] = set()
+        for stack in stacks:
+            fitted = ws.stats.profiles.misses
+            ws.plan(stack, Tutel(), cluster)
+            writes.clear()
+            ws.save()  # autosave is off: plan files only until here
+            new = ws.stats.profiles.misses - fitted
+            written = [path for path, _ in writes]
+            assert len(written) == len(set(written)) == new
+            assert on_disk.isdisjoint(written)
+            on_disk.update(written)
+            writes.clear()
+            ws.save()  # nothing settled in between
+            assert writes == []
+        assert on_disk == set((root / "profiles").glob("*.json"))
+
+        reopened = Workspace(root, autosave=False)
+        reopened.save()  # preloaded profiles are never journaled
+        for stack in stacks:
+            reopened.plan(stack, FSMoE(solver="slsqp"), cluster)
+        reopened.save()
+        assert reopened.stats.profiles.misses == 0
+        assert [p for p, _ in writes if p.parent == root / "profiles"] == []
+
+    def test_failed_write_is_retried_by_the_next_save(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "ws"
+        ws = Workspace(root, autosave=False)
+        ws.plan([_layer(256), _layer(384)], Tutel(), make_testbed_b())
+        assert len(ws.store) == 3
+        real = workspace_module._atomic_write
+        calls = []
+
+        def second_write_fails(path: Path, text: str) -> None:
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            real(path, text)
+
+        monkeypatch.setattr(
+            workspace_module, "_atomic_write", second_write_fails
+        )
+        with pytest.raises(OSError, match="disk full"):
+            ws.save()
+        assert len(list((root / "profiles").glob("*.json"))) == 1
+        monkeypatch.setattr(workspace_module, "_atomic_write", real)
+        writes = self._record_writes(monkeypatch)
+        ws.save()
+        retried = [path for path, _ in writes]
+        assert len(retried) == 2 and retried[0] == calls[1]
+        assert len(list((root / "profiles").glob("*.json"))) == 3
+
+    def test_clear_starts_with_an_empty_journal(self, tmp_path, monkeypatch):
+        root = tmp_path / "ws"
+        cluster = make_testbed_b()
+        ws = Workspace(root, autosave=False)
+        ws.plan(_layer(256), Tutel(), cluster)
+        ws.clear()
+        writes = self._record_writes(monkeypatch)
+        ws.save()
+        assert writes == []
+        assert list((root / "profiles").glob("*.json")) == []
+        ws.plan(_layer(256), Tutel(), cluster)  # genuinely cold again
+        ws.save()
+        profiles = [p for p, _ in writes if p.parent == root / "profiles"]
+        assert len(profiles) == ws.stats.profiles.misses == 2
+
     def test_autosave_off_writes_nothing_until_save(self, tmp_path):
         root = tmp_path / "ws"
         ws = Workspace(root, autosave=False)
