@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 
 from repro import Workspace
+from repro.api.workspace import _load_plan
 from repro.report import ArtifactResult, ReportConfig
 from repro.cache import CacheServer
 from repro.serve import duplicate_heavy_requests
@@ -111,7 +112,7 @@ def _measure_lookup_tiers(scratch: Path, config: ReportConfig) -> dict:
 
     start = time.perf_counter()
     for _ in range(n):
-        assert ws._load_plan_file(path, key_json) is not None
+        assert ws._read_disk(path, _load_plan, key_json) is not None
     disk_s = time.perf_counter() - start
 
     # End-to-end warm plan() rate for context: key encode + digest +

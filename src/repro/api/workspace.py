@@ -35,11 +35,16 @@ On-disk layout::
       plans/
         <digest>.json        # schema_version + key + serialized plan
 
-Schema-version mismatches are *refused* (a newer library must not
-silently misread an older cache -- run ``python -m repro cache clear``);
-unparsable files, and profile files whose key does not digest to their
-name, are *recovered from* (renamed to ``*.corrupt``; only that entry is
-refitted).  A legacy ``profiles.json`` is not read.
+Plans and profiles are one kind of *document*, the same bytes in every
+tier (the L3 entry under ``<digest>`` is the L2 file's text): one
+builder writes them, one reader checks them, and each tier has one
+failure policy.  At L2 a schema-version mismatch is *refused* (a newer
+library must not silently misread an older cache -- run ``python -m
+repro cache clear``) and any other defect -- unparsable JSON, a missing
+header, a key that does not match the digest, an undecodable body --
+is *recovered from*: the file is renamed to ``*.corrupt``, counted as an
+L2 error, and only that entry is recomputed.  At L3 every defect counts
+an error and a miss.  A legacy ``profiles.json`` is not read.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ from ..planner.compiler import PlanCompiler
 from ..planner.plan import IterationPlan
 from ..planner.store import ProfileStore, StoreStats
 from ..systems.base import TrainingSystem
-from .codec import canonical_json, decode, digest, encode
+from .codec import canonical_json, decode, digest, encode, text_digest
 from .request import PlanRequest
 from .spec import ExperimentSpec
 
@@ -85,6 +90,9 @@ if TYPE_CHECKING:  # imported lazily at runtime: serve sits above api
 
 #: current format of profiles/*.json and plans/*.json (and of L3 documents).
 WORKSPACE_SCHEMA_VERSION = 1
+
+#: bound on waiting for another process's lock on an in-flight compile.
+LOCK_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -249,57 +257,169 @@ def _atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically.
 
     The same-directory temp file is named per process and thread, so
-    concurrent writers of one path never share one.
+    concurrent writers of one path never share one; a failed write
+    removes it before re-raising.
     """
     tmp = path.with_name(
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _profile_document(full_key: tuple, value: object) -> tuple[str, str]:
-    """``(digest, JSON text)`` of one profile's document.
-
-    The same document is the disk file ``profiles/<digest>.json`` and
-    the shared tier's entry under ``<digest>``.
-    """
-    key = encode(("profile", full_key))
-    text = json.dumps(
-        {
-            "schema_version": WORKSPACE_SCHEMA_VERSION,
-            "key": key,
-            "value": encode(value),
-        }
+def _document(key: object, field: str, body: object) -> str:
+    """The text of one document: ``body`` under ``field``, filed by ``key``."""
+    return json.dumps(
+        {"schema_version": WORKSPACE_SCHEMA_VERSION, "key": key, field: body}
     )
-    return digest(key), text
 
 
-def _parse_profile_document(text: str, dig: str) -> tuple[tuple, object]:
-    """Inverse of :func:`_profile_document`: ``(full_key, value)``.
+def _load_plan(data: dict) -> IterationPlan:
+    """The body of a plan document."""
+    return IterationPlan.from_dict(data["plan"])
+
+
+def _load_profile(data: dict) -> tuple[tuple, object]:
+    """The ``(full_key, value)`` of a profile document."""
+    return decode(data["key"])[1], decode(data["value"])
+
+
+def _read_document(
+    text: str,
+    load: Callable[[dict], object],
+    dig: str,
+    key_json: str | None = None,
+) -> object:
+    """``load`` of the document ``text`` filed under ``dig``.
+
+    The stored key must equal ``key_json`` when the caller knows the
+    canonical key, and must digest to ``dig`` otherwise.
 
     Raises:
         WorkspaceError: for a document of another schema version.
-        ValueError: for an unparsable or undecodable document, or one
-            whose key does not digest to ``dig``.
+        ValueError: for any other defect -- unparsable JSON, a missing
+            header, a key that does not match, a body that does not
+            decode.
     """
     try:
         data = json.loads(text)
         version = data["schema_version"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"unparsable profile document: {exc}") from None
+        raise ValueError(f"unparsable document: {exc}") from None
     if version != WORKSPACE_SCHEMA_VERSION:
         raise WorkspaceError(
-            f"written with schema version {version!r}; this build reads "
-            f"version {WORKSPACE_SCHEMA_VERSION}."
+            f"was written with schema version {version!r}; this build "
+            f"reads version {WORKSPACE_SCHEMA_VERSION}."
         )
     try:
-        if digest(data["key"]) != dig:
-            raise ValueError("key does not match its digest")
-        _, full_key = decode(data["key"])
-        return full_key, decode(data["value"])
-    except (KeyError, TypeError, ValueError, WorkspaceError) as exc:
-        raise ValueError(f"undecodable profile document: {exc}") from None
+        key_text = canonical_json(data["key"])
+        if key_json is None:  # only the address is known: check that
+            valid = text_digest(key_text) == dig
+        else:
+            valid = key_text == key_json
+        if not valid:
+            raise ValueError("key does not match its address")
+        return load(data)
+    except Exception as exc:  # noqa: BLE001 - every decode failure
+        raise ValueError(f"undecodable document: {exc}") from None
+
+
+def _remote_get(
+    remote: RemoteTier,
+    counts: CounterCell,
+    dig: str,
+    load: Callable[[dict], object],
+    key_json: str,
+) -> tuple[str, object] | None:
+    """One L3 get under the L3 policy: ``(text, load(document))`` or None.
+
+    Counts one hit or miss in ``counts``; a failed call or a document
+    the reader refuses also counts an error -- refused, never misread.
+    """
+    try:
+        text = remote.get(dig)
+        if text is None:
+            counts.inc("misses")
+            return None
+        body = _read_document(text, load, dig, key_json)
+    except Exception:  # noqa: BLE001 - the shared tier never fails a plan
+        counts.inc("errors", "misses")
+        return None
+    counts.inc("hits")
+    return text, body
+
+
+def _remote_put(
+    remote: RemoteTier, counts: CounterCell, dig: str, text: str
+) -> None:
+    """One L3 put, counted as a write or (refused, unreachable) an error."""
+    try:
+        stored = remote.put(dig, text)
+    except Exception:  # noqa: BLE001 - the shared tier never fails a plan
+        stored = False
+    counts.inc("writes" if stored else "errors")
+
+
+class _ProfileTier:
+    """The profile store's lower tier: the shared L3 and the save journal.
+
+    A :class:`~repro.planner.store.LowerTier`.  Each profile document is
+    built once, when its entry settles; those bytes are published to L3
+    and journaled for :meth:`Workspace.save`.  A profile fetched from L3
+    is journaled as the fetched bytes.  Preloaded profiles never are.
+    """
+
+    def __init__(self, remote: RemoteTier | None, counts: CounterCell):
+        self._remote = remote
+        self._counts = counts
+        self._lock = threading.Lock()
+        # (digest, text) of each document settled since the last drain.
+        self._journal: list[tuple[str, str]] = []
+
+    def fetch(self, full_key: tuple) -> object | None:
+        """The profile under ``full_key`` from L3, or None."""
+        if self._remote is None:
+            return None
+        key_json = canonical_json(encode(("profile", full_key)))
+        dig = text_digest(key_json)
+        got = _remote_get(
+            self._remote, self._counts, dig, _load_profile, key_json
+        )
+        if got is None:
+            return None
+        text, (_, value) = got
+        with self._lock:
+            self._journal.append((dig, text))
+        return value
+
+    def settle(self, full_key: tuple, value: object) -> None:
+        """Build a fitted profile's document; publish and journal it."""
+        key = encode(("profile", full_key))
+        dig, text = digest(key), _document(key, "value", encode(value))
+        if self._remote is not None:
+            _remote_put(self._remote, self._counts, dig, text)
+        with self._lock:
+            self._journal.append((dig, text))
+
+    def drain(self, write: Callable[[str, str], None]) -> None:
+        """Hand each document journaled since the last drain to ``write``.
+
+        ``write(digest, text)``; if it raises, that document and every
+        later one stay journaled for the next drain.
+        """
+        with self._lock:
+            pending, self._journal = self._journal, []
+        for index, (dig, text) in enumerate(pending):
+            try:
+                write(dig, text)
+            except BaseException:
+                with self._lock:
+                    self._journal[:0] = pending[index:]
+                raise
 
 
 def _quarantine(path: Path) -> None:
@@ -323,8 +443,6 @@ class Workspace:
         root: directory holding the caches (created if missing).
         autosave: persist new profiles after each cache-missing
             :meth:`plan` call (False: only on an explicit :meth:`save`).
-        lock_timeout_s: bound on waiting for another *process*'s
-            advisory lock on an in-flight plan compile.
         l1_entries: entry bound of the in-memory plan tier; ``0``
             disables L1 entirely (every lookup goes to disk), None
             means the default bound.
@@ -365,7 +483,6 @@ class Workspace:
         root: str | Path,
         *,
         autosave: bool = True,
-        lock_timeout_s: float = 600.0,
         l1_entries: int | None = None,
         l1_bytes: int | None = None,
         remote: str | None = None,
@@ -377,7 +494,6 @@ class Workspace:
         self.profiles_dir = self.root / "profiles"
         self.profiles_dir.mkdir(exist_ok=True)
         self._autosave = autosave
-        self._lock_timeout_s = lock_timeout_s
         self._io_lock = threading.Lock()
         # One reentrant lock guards the in-flight map and every counter
         # cell, so a stats snapshot is consistent across them.
@@ -403,11 +519,47 @@ class Workspace:
         self._l1c, self._l2c, self._l3c, self._prc = (
             CounterCell(TierStats, self._counter_lock) for _ in range(4)
         )
-        self.store = ProfileStore()
-        self._bind_store_remote()
+        self._open_store()
         self._load_profiles()
 
     # -- persistence ---------------------------------------------------------
+
+    def _open_store(self) -> None:
+        """A fresh profile store over a fresh profile tier."""
+        self._profiles = _ProfileTier(self._remote, self._prc)
+        self.store = ProfileStore(lower=self._profiles)
+
+    def _read_disk(
+        self,
+        path: Path,
+        load: Callable[[dict], object],
+        key_json: str | None = None,
+    ) -> tuple[str, object] | None:
+        """One L2 read under the L2 policy: ``(text, load(document))``.
+
+        The document is filed under its digest, ``path.stem``.  None for
+        a missing file, and for any defect the reader finds: that file is
+        quarantined and counted as one L2 error.  Hits, misses and fills
+        are the caller's to count.
+
+        Raises:
+            WorkspaceError: for a document of another schema version
+                (refused, never misread).
+        """
+        try:
+            text = path.read_text()
+            return text, _read_document(text, load, path.stem, key_json)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            _quarantine(path)
+            self._l2c.inc("errors")
+            return None
+        except WorkspaceError as exc:
+            raise WorkspaceError(
+                f"cache file {path} {exc}  Run `python -m repro cache "
+                f"clear --workspace {self.root}` to discard it."
+            ) from None
 
     def _load_profiles(self) -> None:
         """Preload every profile file; quarantine the unreadable ones.
@@ -417,77 +569,32 @@ class Workspace:
         """
         entries: dict[tuple, object] = {}
         for path in sorted(self.profiles_dir.glob("*.json")):
-            try:
-                full_key, value = _parse_profile_document(
-                    path.read_text(), path.stem
-                )
-            except (OSError, ValueError):
-                _quarantine(path)
-                continue
-            except WorkspaceError as exc:
-                raise WorkspaceError(
-                    f"profile cache file {path}: {exc}  Run `python -m "
-                    f"repro cache clear --workspace {self.root}` to "
-                    f"discard it."
-                ) from None
-            entries[full_key] = value
+            got = self._read_disk(path, _load_profile)
+            if got is not None:
+                full_key, value = got[1]
+                entries[full_key] = value
         self.store.preload(entries)
-
-    def _bind_store_remote(self) -> None:
-        """Route the profile store through the shared tier, if configured."""
-        if self._remote is not None:
-            self.store.set_remote(
-                self._remote_profile_fetch, self._remote_profile_publish
-            )
-
-    def _remote_profile_fetch(self, full_key: tuple) -> object | None:
-        """Look one profile up in the shared tier (best-effort).
-
-        Counts exactly one ``profiles_remote`` hit or miss; undecodable
-        or cross-version documents additionally count an error and are
-        refused (treated as a miss), never returned.
-        """
-        try:
-            dig = digest(encode(("profile", full_key)))
-            text = self._remote.get(dig)
-            value = (
-                _parse_profile_document(text, dig)[1]
-                if text is not None
-                else None
-            )
-        except Exception:  # noqa: BLE001 - tier must never raise
-            self._prc.inc("errors", "misses")
-            return None
-        self._prc.inc("misses" if text is None else "hits")
-        return value
-
-    def _remote_profile_publish(self, full_key: tuple, value: object) -> None:
-        """Publish one freshly fitted profile to the shared tier."""
-        try:
-            stored = self._remote.put(*_profile_document(full_key, value))
-        except Exception:  # noqa: BLE001 - tier must never raise
-            stored = False
-        self._prc.inc("writes" if stored else "errors")
 
     def save(self) -> None:
         """Write every profile settled since the last save.
 
         Each profile is its own content-addressed file, written once and
-        atomically; nothing on disk is read, merged or rewritten, and the
-        store journals what settled, so the cost is what changed since
-        the last save -- not the size of the store.  A write that fails
-        leaves its profile journaled, and the next save retries it.
+        atomically; nothing on disk is read, merged or rewritten.  The
+        store's lower tier journals each profile document as it settles
+        (built once, or as fetched from L3), so the cost is what changed
+        since the last save -- not the size of the store, and no profile
+        is re-encoded.  A write that fails leaves its document journaled,
+        and the next save retries it.
         Processes sharing this root union their profiles by
         construction: concurrent writers of one file write identical
         bytes (profiling is deterministic in its key).
         """
 
-        def write(full_key: tuple, value: object) -> None:
-            dig, text = _profile_document(full_key, value)
+        def write(dig: str, text: str) -> None:
             _atomic_write(self.profiles_dir / f"{dig}.json", text)
 
         with self._io_lock:
-            self.store.drain_settled(write)
+            self._profiles.drain(write)
 
     # -- stats ---------------------------------------------------------------
 
@@ -577,8 +684,7 @@ class Workspace:
                 self._prc,
             ):
                 cell.reset()
-        self.store = ProfileStore()
-        self._bind_store_remote()
+        self._open_store()
 
     @staticmethod
     def discard(root: str | Path) -> dict[str, int]:
@@ -728,44 +834,6 @@ class Workspace:
             r_max=r_max,
         )
 
-    def _load_plan_entry(
-        self, path: Path, key_json: str
-    ) -> tuple[IterationPlan, int] | None:
-        """Read one plan file; ``(plan, size_bytes)`` or None.
-
-        Unreadable files are quarantined (and counted as L2 errors);
-        cross-version files are refused with an exception, never
-        misread.
-        """
-        if not path.exists():
-            return None
-        try:
-            text = path.read_text()
-            data = json.loads(text)
-        except (OSError, ValueError):
-            _quarantine(path)
-            self._l2c.inc("errors")
-            return None
-        if not isinstance(data, dict) or "schema_version" not in data:
-            _quarantine(path)
-            self._l2c.inc("errors")
-            return None
-        if data["schema_version"] != WORKSPACE_SCHEMA_VERSION:
-            raise WorkspaceError(
-                f"plan cache file {path} was written with schema version "
-                f"{data['schema_version']!r}; this build reads version "
-                f"{WORKSPACE_SCHEMA_VERSION}.  Run `python -m repro cache "
-                f"clear --workspace {self.root}` to discard it."
-            )
-        if canonical_json(data.get("key")) != key_json:
-            return None  # digest collision or stale file: recompute
-        return IterationPlan.from_dict(data["plan"]), len(text)
-
-    def _load_plan_file(self, path: Path, key_json: str) -> IterationPlan | None:
-        """The bare L2 read (no counters, no fills): the disk baseline."""
-        entry = self._load_plan_entry(path, key_json)
-        return entry[0] if entry is not None else None
-
     @staticmethod
     def _touch(path: Path) -> None:
         """Refresh a plan file's mtime so mtime order approximates LRU."""
@@ -791,15 +859,15 @@ class Workspace:
         cross-process fill, the fall-through to a compile was already
         counted by the first probe.
         """
-        entry = self._load_plan_entry(path, key_json)
-        if entry is None:
+        got = self._read_disk(path, _load_plan, key_json)
+        if got is None:
             if count_miss:
                 self._l2c.inc("misses")
             return None
-        plan, size = entry
+        text, plan = got
         self._l2c.inc("hits")
         self._touch(path)
-        self._fill_l1(dig, plan, size)
+        self._fill_l1(dig, plan, len(text))
         return plan
 
     def _probe_remote(
@@ -807,26 +875,13 @@ class Workspace:
     ) -> IterationPlan | None:
         """One counted L3 lookup; hits fill the disk and memory tiers.
 
-        The remote document is the exact on-disk file text, so it is
-        validated by the same reader (schema version and full content
-        key); an undecodable or cross-version document counts an error
-        and degrades to a miss -- refused, never misread.
+        The remote document is the exact on-disk file text, which lands
+        on disk as fetched.
         """
-        text = self._remote.get(dig)
-        if text is None:
-            self._l3c.inc("misses")
+        got = _remote_get(self._remote, self._l3c, dig, _load_plan, key_json)
+        if got is None:
             return None
-        try:
-            data = json.loads(text)
-            if data["schema_version"] != WORKSPACE_SCHEMA_VERSION:
-                raise ValueError("cross-version remote plan")
-            if canonical_json(data["key"]) != key_json:
-                raise ValueError("remote plan key mismatch")
-            plan = IterationPlan.from_dict(data["plan"])
-        except Exception:  # noqa: BLE001 - refuse, don't misread
-            self._l3c.inc("errors", "misses")
-            return None
-        self._l3c.inc("hits")
+        text, plan = got
         _atomic_write(path, text)
         self._l2c.inc("fills")
         self._fill_l1(dig, plan, len(text))
@@ -960,7 +1015,7 @@ class Workspace:
                 # recomputing it.
                 plan_lock = FileLock(
                     self.plans_dir / f"{dig}.lock",
-                    timeout_s=self._lock_timeout_s,
+                    timeout_s=LOCK_TIMEOUT_S,
                 )
                 with plan_lock:
                     span = (
@@ -992,25 +1047,18 @@ class Workspace:
                             include_gar=request.include_gar,
                         )
                         self._plan_counts.inc("plan_misses")
-                        payload = json.dumps(
-                            {
-                                "schema_version": WORKSPACE_SCHEMA_VERSION,
-                                "key": request.key,
-                                "plan": plan.to_dict(),
-                            }
+                        text = _document(
+                            request.key, "plan", plan.to_dict()
                         )
                         # Write-through: disk, then memory, then (best
                         # effort) the shared tier.
-                        _atomic_write(path, payload)
+                        _atomic_write(path, text)
                         self._l2c.inc("writes")
                         if self._l1 is not None:
-                            self._l1.put(dig, plan, size=len(payload))
+                            self._l1.put(dig, plan, size=len(text))
                             self._l1c.inc("writes")
                         if self._remote is not None:
-                            stored = self._remote.put(dig, payload)
-                            self._l3c.inc(
-                                "writes" if stored else "errors"
-                            )
+                            _remote_put(self._remote, self._l3c, dig, text)
                 if self._autosave:
                     self.save()
         except BaseException as exc:

@@ -19,6 +19,10 @@ once even under races (losers block on the winner's
 :class:`~concurrent.futures.Future`), so the hit/miss counters are exact
 and "re-planning did zero new profiling" is directly assertable.
 
+Beneath the memo sits at most one :class:`LowerTier`, given at
+construction: a workspace's disk and shared tiers, which the store asks
+before computing and tells about every entry it computes.
+
 The store also owns the session's
 :class:`~repro.core.context.SolverContext`: every Algorithm-1 and
 Step-2 memo and counter of the plans compiled through it, so solver
@@ -30,7 +34,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable
+from typing import Protocol
 
 from ..config import MoELayerSpec, ParallelSpec
 from ..core.context import SolverContext
@@ -38,7 +42,7 @@ from ..core.perf_model import PerfModelSet
 from ..core.profiler import ProfileResult, profile_cluster
 from ..models.transformer import LayerProfile, profile_layer
 from ..moe.gates import GateKind
-from ..obs.metrics import COUNTER, Stats
+from ..obs.metrics import COUNTER, CounterCell, Stats
 from ..parallel.collectives import A2AAlgorithm
 from ..parallel.topology import ClusterSpec
 
@@ -72,6 +76,21 @@ class StoreStats(Stats):
         return self.cluster_misses + self.layer_misses
 
 
+class LowerTier(Protocol):
+    """What a :class:`ProfileStore` consults beneath its memo.
+
+    Both calls take the entry's full key (namespace first).  A
+    :class:`~repro.api.workspace.Workspace` implements it over its disk
+    and shared tiers.
+    """
+
+    def fetch(self, full_key: tuple) -> object | None:
+        """The stored value, or None; best-effort, never raises."""
+
+    def settle(self, full_key: tuple, value: object) -> None:
+        """Take one freshly computed entry, before its waiters wake."""
+
+
 class ProfileStore:
     """Memoizes cluster and layer profiling behind content-addressed keys.
 
@@ -82,99 +101,38 @@ class ProfileStore:
     Args:
         degree_solver: the Algorithm-1 implementation of the store's
             :attr:`solver_context` (``"batch"`` or ``"slsqp"``).
+        lower: the tier beneath the memo, set once for the store's
+            life (None: memory only).  A value it fetches counts as a
+            hit; every value computed here is settled into it.
 
     Attributes:
         solver_context: the solver memos and counters of every plan
             compiled through this store.
     """
 
-    def __init__(self, *, degree_solver: str = "batch") -> None:
+    def __init__(
+        self,
+        *,
+        degree_solver: str = "batch",
+        lower: LowerTier | None = None,
+    ) -> None:
         self.solver_context = SolverContext(degree_solver)
+        self._lower = lower
         self._lock = threading.Lock()
         self._entries: dict[tuple, Future] = {}
-        # (full key, value) of each entry settled since the last drain.
-        self._journal: list[tuple[tuple, object]] = []
-        self._cluster_hits = 0
-        self._cluster_misses = 0
-        self._layer_hits = 0
-        self._layer_misses = 0
-        self._remote_fetch: "Callable[[tuple], object | None] | None" = None
-        self._remote_publish: "Callable[[tuple, object], None] | None" = None
-
-    def set_remote(
-        self,
-        fetch: "Callable[[tuple], object | None] | None",
-        publish: "Callable[[tuple, object], None] | None",
-    ) -> None:
-        """Attach (or detach, with ``None``) a shared remote tier.
-
-        ``fetch(full_key)`` returns a cached value or None; it is tried
-        before computing, and a remote answer counts as a *hit* (a warm
-        fleet fits zero new profiles, so ``misses == 0`` stays the
-        definition of warm).  ``publish(full_key, value)`` is called
-        after each fresh computation.  Both must be best-effort: they
-        may never raise into the profiling path (the workspace's
-        wrappers swallow transport errors and count them).
-        """
-        self._remote_fetch = fetch
-        self._remote_publish = publish
-
-    def _count_locked(self, namespace: str, *, hit: bool) -> None:
-        """Bump one hit or miss counter; caller holds ``self._lock``."""
-        if namespace == "cluster":
-            if hit:
-                self._cluster_hits += 1
-            else:
-                self._cluster_misses += 1
-        elif hit:
-            self._layer_hits += 1
-        else:
-            self._layer_misses += 1
-
-    def _count(self, namespace: str, *, hit: bool) -> None:
-        """Bump exactly one hit or miss counter for ``namespace``."""
-        with self._lock:
-            self._count_locked(namespace, hit=hit)
+        self._counts = CounterCell(StoreStats)
 
     @property
     def stats(self) -> StoreStats:
         """Current counter snapshot (consistent under concurrency)."""
-        with self._lock:
-            return StoreStats(
-                cluster_hits=self._cluster_hits,
-                cluster_misses=self._cluster_misses,
-                layer_hits=self._layer_hits,
-                layer_misses=self._layer_misses,
-            )
+        return self._counts.snapshot()
 
     def __len__(self) -> int:
         """Number of cached entries (cluster + layer)."""
         with self._lock:
             return len(self._entries)
 
-    # -- persistence hooks ---------------------------------------------------
-
-    def drain_settled(self, write: Callable[[tuple, object], None]) -> None:
-        """Hand every entry settled since the last drain to ``write``.
-
-        Entries are journaled as they settle -- computed here or fetched
-        from the shared tier -- keyed by their full key (namespace
-        first); preloaded, in-flight and failed ones never are.  This is
-        the export side of :meth:`preload`: a
-        :class:`~repro.api.workspace.Workspace` persists each profile
-        once, at a cost that follows what settled, not the store's size.
-        If ``write`` raises, that entry and every later one stay
-        journaled for the next drain.
-        """
-        with self._lock:
-            pending, self._journal = self._journal, []
-        for index, (full_key, value) in enumerate(pending):
-            try:
-                write(full_key, value)
-            except BaseException:
-                with self._lock:
-                    self._journal[:0] = pending[index:]
-                raise
+    # -- persistence ---------------------------------------------------------
 
     def preload(self, entries: dict[tuple, object]) -> None:
         """Seed the cache with previously exported entries.
@@ -202,39 +160,30 @@ class ProfileStore:
         full_key = (namespace,) + key
         with self._lock:
             future = self._entries.get(full_key)
-            if future is None:
-                future = Future()
-                self._entries[full_key] = future
-                owner = True
-            else:
-                owner = False
-                self._count_locked(namespace, hit=True)
-        if owner:
-            fetch = self._remote_fetch
-            value = fetch(full_key) if fetch is not None else None
-            if value is not None:
-                # Served by the shared tier: this session computed
-                # nothing, so it is a hit -- a warm fleet keeps
-                # ``misses == 0``.
-                with self._lock:
-                    self._count_locked(namespace, hit=True)
-                    self._journal.append((full_key, value))
-                future.set_result(value)
-            else:
-                self._count(namespace, hit=False)
-                try:
-                    result = compute()
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    with self._lock:
-                        del self._entries[full_key]
-                    future.set_exception(exc)
-                else:
-                    with self._lock:
-                        self._journal.append((full_key, result))
-                    future.set_result(result)
-                    publish = self._remote_publish
-                    if publish is not None:
-                        publish(full_key, result)
+            owner = future is None
+            if owner:
+                future = self._entries[full_key] = Future()
+        if not owner:
+            self._counts.inc(namespace + "_hits")
+            return future.result()
+        lower = self._lower
+        try:
+            value = lower.fetch(full_key) if lower is not None else None
+            # Served by the lower tier: this session computed nothing,
+            # so it is a hit -- a warm fleet keeps ``misses == 0``.
+            self._counts.inc(
+                namespace + ("_misses" if value is None else "_hits")
+            )
+            if value is None:
+                value = compute()
+                if lower is not None:
+                    lower.settle(full_key, value)
+        except BaseException as exc:  # noqa: BLE001 - re-raised
+            with self._lock:
+                del self._entries[full_key]
+            future.set_exception(exc)
+        else:
+            future.set_result(value)
         return future.result()
 
     # -- cluster profiles ----------------------------------------------------

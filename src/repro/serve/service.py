@@ -81,16 +81,14 @@ class PlanService:
         flush_ms: coalescer flush window -- how long the first request
             of a batch waits for company before the batch drains.
         capacity: bound on the undrained backlog; submissions beyond it
-            raise :class:`~repro.errors.QueueFullError`.
-        max_batch: largest batch one flush drains (None = no limit
-            below ``capacity``).
+            raise :class:`~repro.errors.QueueFullError`.  One flush
+            drains at most this many requests.
         workers: thread-pool width for resolving a batch's distinct
             groups (1 = resolve serially on the coalescer thread).
-        prewarm: push a cold batch's layer contexts through one batched
-            Algorithm-1 solve before resolving its groups.
 
     Raises:
-        ConfigError: for a non-positive window, capacity or batch size.
+        ConfigError: for a negative window or a non-positive capacity or
+            worker count.
     """
 
     def __init__(
@@ -99,23 +97,17 @@ class PlanService:
         *,
         flush_ms: float = DEFAULT_FLUSH_MS,
         capacity: int = DEFAULT_CAPACITY,
-        max_batch: int | None = None,
         workers: int = 1,
-        prewarm: bool = True,
     ) -> None:
         if flush_ms < 0:
             raise ConfigError(f"flush_ms must be >= 0, got {flush_ms}")
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        if max_batch is not None and max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {max_batch}")
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.workspace = workspace
         self._flush_s = flush_ms / 1000.0
         self._capacity = capacity
-        self._max_batch = max_batch if max_batch is not None else capacity
-        self._prewarm_enabled = prewarm
         self._cv = threading.Condition()
         self._pending: list[_Entry] = []
         self._outstanding = 0  # accepted, future not yet settled
@@ -260,12 +252,12 @@ class PlanService:
                 # Micro-batch: let the burst accumulate for one flush
                 # window from its first arrival (skipped when closing).
                 deadline = self._pending[0].submitted + self._flush_s
-                while not self._closed and len(self._pending) < self._max_batch:
+                while not self._closed and len(self._pending) < self._capacity:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._cv.wait(timeout=remaining)
-                batch = self._pending[: self._max_batch]
+                batch = self._pending[: self._capacity]
                 del self._pending[: len(batch)]
             try:
                 self._process(batch)
@@ -382,7 +374,7 @@ class PlanService:
         once, per group, through that group's futures -- in the resolve
         step instead of poisoning the whole batch.
         """
-        if not self._prewarm_enabled or len(groups) < 2:
+        if len(groups) < 2:
             return
         by_rmax: dict[int, list] = {}
         for group in groups:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -425,6 +426,110 @@ class TestRemoteTierRouting:
 
         assert "misses 1 " in run("cold")
         assert "misses 0 0 l3 1 warm True" in run("warm")
+
+
+def _bogus_body(text: str) -> str:
+    """A well-formed document of the same key whose body cannot decode."""
+    doc = json.loads(text)
+    body = "plan" if "plan" in doc else "value"
+    doc[body] = {"bogus": 1}
+    return json.dumps(doc)
+
+
+class TestDocuments:
+    """Plans and profiles: one builder, one reader, one policy per tier."""
+
+    @pytest.fixture()
+    def server(self):
+        server = CacheServer()
+        server.start()
+        yield server
+        server.close()
+
+    @pytest.mark.parametrize("kind", ["plan", "profile"])
+    @pytest.mark.parametrize("tier", ["l2", "l3"])
+    def test_malformed_body_is_refused_once_and_recompiled(
+        self, tmp_path, server, tier, kind
+    ):
+        seed = tmp_path / "seed"
+        reference = plan_once(Workspace(seed, remote=server.address))
+        plan_dig = plan_digest_of()
+        profile_dig = sorted((seed / "profiles").glob("*.json"))[0].stem
+        dig = plan_dig if kind == "plan" else profile_dig
+        if tier == "l2":
+            root, remote = seed, ""
+            path = seed / f"{kind}s" / f"{dig}.json"
+            path.write_text(_bogus_body(path.read_text()))
+            if kind == "profile":  # the plan must recompile to need it
+                (seed / "plans" / f"{plan_dig}.json").unlink()
+        else:
+            root, remote = tmp_path / "fresh", server.address
+            server.store.put(dig, _bogus_body(server.store.get(dig)))
+            if kind == "profile":
+                server.store.delete(plan_dig)
+        quarantines = (
+            pytest.warns(UserWarning, match="unreadable")
+            if tier == "l2"
+            else contextlib.nullcontext()
+        )
+        with quarantines:
+            ws = Workspace(root, remote=remote)
+            plan = plan_once(ws)
+        assert plan.to_json() == reference.to_json()
+        stats = ws.stats
+        counts = {
+            ("l2", "plan"): stats.cache.l2,
+            ("l2", "profile"): stats.cache.l2,
+            ("l3", "plan"): stats.cache.l3,
+            ("l3", "profile"): stats.cache.profiles_remote,
+        }[tier, kind]
+        assert counts.errors == 1
+        assert stats.plan_misses == 1
+        assert stats.profiles.misses == (1 if kind == "profile" else 0)
+        if tier == "l2":
+            assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_each_document_is_built_once(
+        self, tmp_path, server, monkeypatch
+    ):
+        from repro.api import workspace as workspace_module
+
+        built: list[str] = []
+        real = workspace_module._document
+
+        def counting(key, field, body):
+            built.append(field)
+            return real(key, field, body)
+
+        monkeypatch.setattr(workspace_module, "_document", counting)
+        cold = Workspace(tmp_path / "a", remote=server.address)
+        plan_once(cold)
+        cold.save()
+        fitted = cold.stats.profiles.misses
+        assert fitted == 2  # the cluster profile and one layer
+        assert sorted(built) == ["plan"] + ["value"] * fitted
+        assert cold.stats.cache.profiles_remote.writes == fitted
+
+        built.clear()
+        warm = Workspace(tmp_path / "a", remote=server.address)
+        plan_once(warm)
+        warm.save()
+        assert built == [] and warm.stats.warm
+
+        built.clear()
+        server.store.delete(plan_digest_of())  # force a recompile
+        fetched = Workspace(tmp_path / "b", remote=server.address)
+        plan_once(fetched)
+        fetched.save()
+        assert built == ["plan"]  # the profiles came from L3 as bytes
+        assert fetched.stats.cache.profiles_remote.hits == fitted
+        files = sorted((tmp_path / "b" / "profiles").glob("*.json"))
+        assert len(files) == fitted
+        for path in files:
+            assert path.read_text() == server.store.get(path.stem)
+            assert path.read_bytes() == (
+                tmp_path / "a" / "profiles" / path.name
+            ).read_bytes()
 
 
 class TestServiceCompletedCache:

@@ -7,7 +7,10 @@ import threading
 
 import pytest
 
+from repro.api.workspace import _load_profile, _ProfileTier, _read_document
+from repro.cache import TierStats
 from repro.core.profiler import profile_cluster
+from repro.obs.metrics import CounterCell
 from repro.planner import ProfileStore
 from repro.planner.store import StoreStats
 
@@ -95,55 +98,69 @@ class TestLayerProfiles:
         assert len(store) == 0
 
 
+def _journaled_store() -> tuple[ProfileStore, _ProfileTier]:
+    """A store over a workspace's profile tier with no shared L3."""
+    tier = _ProfileTier(None, CounterCell(TierStats))
+    return ProfileStore(lower=tier), tier
+
+
+def _full_key(dig: str, text: str) -> tuple:
+    """The full key of a journaled profile document (read back whole)."""
+    return _read_document(text, _load_profile, dig)[0]
+
+
 class TestJournal:
+    """The save journal of a workspace's profile tier, fed by the store."""
+
     def test_drain_hands_over_each_settled_entry_once(
         self, cluster_b, parallel_b, small_spec
     ):
-        store = ProfileStore()
+        store, tier = _journaled_store()
         store.preload({("cluster", "preloaded"): "from disk"})
         with pytest.raises(AttributeError):  # failed: never journaled
             store.layer_profile(small_spec, parallel_b, None)
         models = store.models(cluster_b, parallel_b)
         store.models(cluster_b, parallel_b)  # a hit settles nothing
         drained = []
-        store.drain_settled(lambda key, value: drained.append((key, value)))
-        assert [key[0] for key, _ in drained] == ["cluster"]
-        assert drained[0][1].models is models
-        store.drain_settled(lambda key, value: drained.append(key))
+        tier.drain(lambda dig, text: drained.append((dig, text)))
+        assert len(drained) == 1
+        (dig, text), = drained
+        full_key, value = _read_document(text, _load_profile, dig)
+        assert full_key[0] == "cluster" and value.models == models
+        tier.drain(lambda dig, text: drained.append(dig))
         assert len(drained) == 1
 
     def test_failed_write_keeps_the_rest_journaled(
         self, cluster_b, parallel_b, small_spec
     ):
-        store = ProfileStore()
+        store, tier = _journaled_store()
         models = store.models(cluster_b, parallel_b)
         store.layer_profile(small_spec, parallel_b, models)
 
-        def refuse(key, value):
+        def refuse(dig, text):
             raise OSError("refused")
 
         with pytest.raises(OSError):
-            store.drain_settled(refuse)
+            tier.drain(refuse)
         drained = []
-        store.drain_settled(lambda key, value: drained.append(key[0]))
-        assert drained == ["cluster", "layer"]
-
+        tier.drain(lambda dig, text: drained.append(_full_key(dig, text)))
+        assert [key[0] for key in drained] == ["cluster", "layer"]
 
     def test_concurrent_settles_and_drains_lose_nothing(self):
-        store = ProfileStore()
+        store, tier = _journaled_store()
         drained: list[tuple] = []
         drained_lock = threading.Lock()
 
-        def write(full_key, value):
+        def write(dig, text):
             with drained_lock:
-                drained.append(full_key)
+                drained.append(_full_key(dig, text))
 
         def worker(first: int) -> None:
             for i in range(first, first + 200):
                 key = i % 300  # workers overlap: each key settles once
                 store._memoize("layer", (key,), lambda key=key: key)
                 if i % 7 == 0:
-                    store.drain_settled(write)
+                    tier.drain(write)
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -159,7 +176,7 @@ class TestJournal:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(switch)
-        store.drain_settled(write)
+        tier.drain(write)
         assert sorted(drained) == [("layer", key) for key in range(300)]
 
 

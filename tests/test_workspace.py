@@ -647,3 +647,19 @@ def test_atomic_write_is_safe_across_threads(tmp_path):
     assert errors == []
     assert json.loads(path.read_text())["round"] == rounds - 1
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A write whose replace fails removes its temp file and re-raises."""
+    root = tmp_path / "ws"
+    Workspace(root)
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        workspace_module._atomic_write(root / "plans" / "doc.json", "{}")
+    monkeypatch.undo()
+    assert list((root / "plans").iterdir()) == []
+    assert Workspace.gc_plans(root, max_entries=0)["removed"] == 0
