@@ -65,6 +65,7 @@ from ..core.gradient_partition import STEP2_SOLVERS
 from ..errors import ConfigError, ReproError
 from ..models.configs import available_model_presets
 from ..moe.gates import GateKind
+from ..serve import DEFAULT_CAPACITY, DEFAULT_FLUSH_MS
 from ..systems.registry import available_systems, get_system
 from .registry import available_clusters
 from .spec import ClusterRef, ExperimentSpec, StackSpec
@@ -197,10 +198,15 @@ def _open_workspace(args, stack: "object") -> Workspace:
     remote = getattr(args, "remote", None)
     trace = getattr(args, "trace", None)
     if args.workspace is not None:
-        return Workspace(args.workspace, remote=remote, trace=trace)
-    tmp = tempfile.TemporaryDirectory(prefix="repro-ws-")
-    stack.callback(tmp.cleanup)  # type: ignore[attr-defined]
-    return Workspace(tmp.name, autosave=False, remote=remote, trace=trace)
+        workspace = Workspace(args.workspace, remote=remote, trace=trace)
+    else:
+        tmp = tempfile.TemporaryDirectory(prefix="repro-ws-")
+        stack.callback(tmp.cleanup)  # type: ignore[attr-defined]
+        workspace = Workspace(
+            tmp.name, autosave=False, remote=remote, trace=trace
+        )
+    # closed on exit, after whatever the caller stacks on top of it
+    return stack.enter_context(workspace)  # type: ignore[attr-defined]
 
 
 def _print_cache_summary(stats: WorkspaceStats, out) -> None:
@@ -274,14 +280,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = ExperimentSpec.from_file(args.spec)
-    remote = getattr(args, "remote", None)
-    if args.workspace:
-        workspace = Workspace(args.workspace, remote=remote)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-ws-") as tmp:
-            workspace = Workspace(tmp, autosave=False, remote=remote)
-            return _run_sweep(args, spec, workspace)
-    return _run_sweep(args, spec, workspace)
+    with contextlib.ExitStack() as resources:
+        return _run_sweep(args, spec, _open_workspace(args, resources))
 
 
 def _run_sweep(args, spec: ExperimentSpec, workspace: Workspace) -> int:
@@ -757,7 +757,8 @@ def _cmd_metrics(args) -> int:
         # the server renders its exposition itself.
         from ..cache import RemoteTier
 
-        exposition = RemoteTier(args.remote).metrics()
+        with RemoteTier(args.remote) as tier:
+            exposition = tier.metrics()
         if exposition is None:
             print(
                 f"error: cache server {args.remote} unreachable",
@@ -884,7 +885,8 @@ def _cmd_cache(args) -> int:
     if args.remote:
         from ..cache import RemoteTier
 
-        stat = RemoteTier(args.remote).stat()
+        with RemoteTier(args.remote) as tier:
+            stat = tier.stat()
         if stat is None:
             print(f"remote_tier: {args.remote} unreachable")
         else:
@@ -1022,11 +1024,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct requests in the --demo stream",
     )
     serve.add_argument(
-        "--flush-ms", type=float, default=2.0,
-        help="coalescer flush window in milliseconds",
+        "--flush-ms", type=float, default=DEFAULT_FLUSH_MS,
+        help="coalescer flush window in milliseconds (0 drains on "
+             "arrival: a batch is what queued while the last one "
+             "resolved)",
     )
     serve.add_argument(
-        "--capacity", type=int, default=4096,
+        "--capacity", type=int, default=DEFAULT_CAPACITY,
         help="bound on the undrained request backlog",
     )
     serve.add_argument(

@@ -422,6 +422,19 @@ class _ProfileTier:
                 raise
 
 
+def _cache_files(directory: Path, pattern: str) -> list[Path]:
+    """The cache files in ``directory`` matching ``pattern``.
+
+    Dotfiles are skipped: pathlib's glob matches them, and they are
+    :func:`_atomic_write`'s in-flight temp files, which belong to the
+    process writing them.
+    """
+    return [
+        path for path in directory.glob(pattern)
+        if not path.name.startswith(".")
+    ]
+
+
 def _quarantine(path: Path) -> None:
     """Move an unreadable cache file aside instead of deleting evidence."""
     target = path.with_name(path.name + ".corrupt")
@@ -596,6 +609,24 @@ class Workspace:
         with self._io_lock:
             self._profiles.drain(write)
 
+    def close(self) -> None:
+        """Release the open handles: the L3 connection and the trace file.
+
+        Idempotent, and nothing is lost: both reopen on next use, and
+        the caches stay as they are.  ``with Workspace(...) as ws:``
+        closes on exit.
+        """
+        if self._remote is not None:
+            self._remote.close()
+        if self._tracer is not None:
+            self._tracer.close()
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- stats ---------------------------------------------------------------
 
     @property
@@ -694,20 +725,23 @@ class Workspace:
         it also recovers workspaces a plain open would *refuse* (schema
         written by another library version) -- it is what ``python -m
         repro cache clear`` runs.  Quarantined ``*.corrupt`` files are
-        removed as well, and so is a legacy ``profiles.json``.
+        removed as well, and so is a legacy ``profiles.json``; another
+        process's in-flight temp files (dotfiles) are left alone.
 
         Returns:
             Count of profile and plan files removed.
         """
         root = Path(root).expanduser()
         removed = {"profiles": 0, "plans": 0}
-        for pattern in ("profiles/*.json*", "profiles.json*"):
-            for path in root.glob(pattern):
+        for directory, pattern in (
+            (root / "profiles", "*.json*"), (root, "profiles.json*")
+        ):
+            for path in _cache_files(directory, pattern):
                 path.unlink(missing_ok=True)
                 removed["profiles"] += 1
         plans_dir = root / "plans"
         if plans_dir.is_dir():
-            for path in plans_dir.glob("*.json*"):
+            for path in _cache_files(plans_dir, "*.json*"):
                 path.unlink(missing_ok=True)
                 removed["plans"] += 1
             # Advisory per-digest lock files go too.  Racing a concurrent
@@ -732,7 +766,8 @@ class Workspace:
         refuse.  A plan file's mtime is refreshed on every cache *read*
         as well as on (re)writes, so mtime order approximates LRU order
         and ``max_age_days`` means "not used in N days".  Quarantined
-        ``*.corrupt`` files age out the same way.
+        ``*.corrupt`` files age out the same way; in-flight temp files
+        (dotfiles) are neither counted nor removed.
 
         At least one bound must be given; they compose (age first, then
         oldest-first eviction until both size bounds hold).
@@ -770,7 +805,7 @@ class Workspace:
         files: list[tuple[float, Path, int]] = []  # (mtime, path, size)
         plans_dir = Path(root).expanduser() / "plans"
         if plans_dir.is_dir():
-            for path in sorted(plans_dir.glob("*.json*")):
+            for path in sorted(_cache_files(plans_dir, "*.json*")):
                 try:
                     stat = path.stat()
                 except OSError:  # pragma: no cover - racing cleaners

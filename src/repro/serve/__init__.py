@@ -1,8 +1,9 @@
 """repro.serve: concurrent plan serving over a Workspace.
 
 The serving layer between the planner and "heavy traffic": a
-:class:`PlanService` coalesces concurrent plan requests into micro
-batches, deduplicates identical requests onto one resolution per
+:class:`PlanService` coalesces concurrent plan requests into batches
+(drained on arrival: whatever queued while the last batch resolved),
+deduplicates identical requests onto one resolution per
 batch (single-flight across threads and -- through the workspace's
 advisory file locks -- across processes), answers repeats from the
 workspace's L1 tier at submit, and answers each caller's
@@ -21,7 +22,7 @@ Quickstart (in-process)::
     from repro import Workspace
     from repro.serve import Client, PlanService
 
-    service = PlanService(Workspace("~/.repro-ws"), flush_ms=2.0)
+    service = PlanService(Workspace("~/.repro-ws"))  # drains on arrival
     client = Client(service)
     future = client.submit(stack, system, cluster)   # non-blocking
     plan = future.result()

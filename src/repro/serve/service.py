@@ -4,9 +4,12 @@
 turns it into a *service*.  A :class:`PlanService` owns one background
 coalescer thread and a bounded request queue:
 
-* **micro-batching** -- submissions buffer for one flush window
-  (``flush_ms``) and drain as a batch, so a burst of requests is
-  processed together instead of interleaving N independent call stacks;
+* **batching from the backlog** -- the coalescer drains on arrival:
+  it takes the whole backlog the moment it wakes, so a lone request
+  waits for nothing, and the requests that arrive while one batch
+  resolves form the next batch, so a burst is processed together
+  instead of interleaving N independent call stacks.  An explicit
+  ``flush_ms`` window additionally holds each batch open for company;
 * **request dedup** -- each batch groups requests by their
   :attr:`~repro.api.request.PlanRequest.digest` (the workspace's content
   address, computed once per request object), so M copies of one
@@ -46,9 +49,10 @@ from ..errors import (
 from ..planner.plan import IterationPlan
 from .stats import ServiceStats, StatsAccumulator
 
-#: default flush window: long enough to coalesce a burst arriving over a
-#: few scheduler quanta, short enough to stay invisible next to a compile.
-DEFAULT_FLUSH_MS = 2.0
+#: default flush window: none.  The coalescer drains on arrival and
+#: batches whatever queued while the previous batch resolved; a window
+#: only delays a request that no other request would have joined.
+DEFAULT_FLUSH_MS = 0.0
 
 #: default bound on the undrained request backlog.
 DEFAULT_CAPACITY = 4096
@@ -79,7 +83,9 @@ class PlanService:
             resolution.  The service binds its stats into
             ``workspace.stats.service``.
         flush_ms: coalescer flush window -- how long the first request
-            of a batch waits for company before the batch drains.
+            of a batch waits for company before the batch drains.  The
+            default, 0, drains on arrival: a batch is the backlog that
+            queued while the previous batch resolved.
         capacity: bound on the undrained backlog; submissions beyond it
             raise :class:`~repro.errors.QueueFullError`.  One flush
             drains at most this many requests.
@@ -249,14 +255,19 @@ class PlanService:
                     self._cv.wait()
                 if not self._pending:
                     return  # closed and drained
-                # Micro-batch: let the burst accumulate for one flush
-                # window from its first arrival (skipped when closing).
-                deadline = self._pending[0].submitted + self._flush_s
-                while not self._closed and len(self._pending) < self._capacity:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cv.wait(timeout=remaining)
+                if self._flush_s > 0:
+                    # Hold the batch open for one flush window from its
+                    # first arrival (skipped when closing).  Without a
+                    # window the backlog drains as it stands.
+                    deadline = self._pending[0].submitted + self._flush_s
+                    while (
+                        not self._closed
+                        and len(self._pending) < self._capacity
+                    ):
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            break
+                        self._cv.wait(timeout=remaining)
                 batch = self._pending[: self._capacity]
                 del self._pending[: len(batch)]
             try:

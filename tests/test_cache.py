@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from collections import OrderedDict
 from pathlib import Path
 
@@ -288,14 +290,22 @@ class TestRemoteTierRouting:
         yield server
         server.close()
 
-    def test_l3_round_trip_fills_lower_tiers(self, tmp_path, server):
-        ws1 = Workspace(tmp_path / "a", remote=server.address)
+    @pytest.fixture()
+    def closing(self):
+        """Close what it wraps at teardown (returns it unchanged)."""
+        with contextlib.ExitStack() as stack:
+            yield stack.enter_context
+
+    def test_l3_round_trip_fills_lower_tiers(
+        self, tmp_path, closing, server
+    ):
+        ws1 = closing(Workspace(tmp_path / "a", remote=server.address))
         plan_once(ws1)
         stats1 = ws1.stats
         assert stats1.cache.l3.writes == 1 and stats1.cache.l3.misses == 1
         assert stats1.cache.profiles_remote.writes > 0
 
-        ws2 = Workspace(tmp_path / "b", remote=server.address)
+        ws2 = closing(Workspace(tmp_path / "b", remote=server.address))
         plan_once(ws2)
         stats2 = ws2.stats
         assert stats2.plan_misses == 0 and stats2.plan_hits == 1
@@ -312,20 +322,22 @@ class TestRemoteTierRouting:
         # force a recompile on a fresh root: the profiles ws1 published
         # answer from the shared tier, so nothing is re-fitted
         server.store.delete(plan_digest_of())
-        ws4 = Workspace(tmp_path / "c", remote=server.address)
+        ws4 = closing(Workspace(tmp_path / "c", remote=server.address))
         plan_once(ws4)
         stats4 = ws4.stats
         assert stats4.plan_misses == 1
         assert stats4.cache.profiles_remote.hits > 0
         assert stats4.profiles.misses == 0 and stats4.warm is False
 
-    def test_profiles_fetched_from_l3_land_on_disk(self, tmp_path, server):
-        plan_once(Workspace(tmp_path / "a", remote=server.address))
+    def test_profiles_fetched_from_l3_land_on_disk(
+        self, tmp_path, closing, server
+    ):
+        plan_once(closing(Workspace(tmp_path / "a", remote=server.address)))
         published = sorted(
             path.name for path in (tmp_path / "a" / "profiles").iterdir()
         )
         server.store.delete(plan_digest_of())  # force a recompile
-        ws = Workspace(tmp_path / "b", remote=server.address)
+        ws = closing(Workspace(tmp_path / "b", remote=server.address))
         plan_once(ws)
         stats = ws.stats
         assert stats.plan_misses == 1 and stats.profiles.misses == 0
@@ -335,9 +347,9 @@ class TestRemoteTierRouting:
         ) == published
 
     def test_corrupt_remote_value_refused_and_recompiled(
-        self, tmp_path, server
+        self, tmp_path, closing, server
     ):
-        ws = Workspace(tmp_path / "ws", remote=server.address)
+        ws = closing(Workspace(tmp_path / "ws", remote=server.address))
         dig = plan_digest_of()
         server.store.put(dig, "definitely not a plan document")
         plan_once(ws)
@@ -347,8 +359,10 @@ class TestRemoteTierRouting:
         # the recompile overwrote the poisoned entry with a good one
         assert json.loads(server.store.get(dig))["schema_version"]
 
-    def test_cross_version_remote_is_refused(self, tmp_path, server):
-        ws = Workspace(tmp_path / "ws", remote=server.address)
+    def test_cross_version_remote_is_refused(
+        self, tmp_path, closing, server
+    ):
+        ws = closing(Workspace(tmp_path / "ws", remote=server.address))
         dig = plan_digest_of()
         doc = {"schema_version": 999, "key": ["?"], "plan": {}}
         server.store.put(dig, json.dumps(doc))
@@ -357,11 +371,13 @@ class TestRemoteTierRouting:
         assert cache.l3.errors == 1 and cache.l3.hits == 0
         assert ws.stats.plan_misses == 1
 
-    def test_mismatched_server_schema_degrades_to_cold(self, tmp_path):
+    def test_mismatched_server_schema_degrades_to_cold(
+        self, tmp_path, closing
+    ):
         server = CacheServer(schema=CACHE_SCHEMA_VERSION + 1)
         server.start()
         try:
-            ws = Workspace(tmp_path / "ws", remote=server.address)
+            ws = closing(Workspace(tmp_path / "ws", remote=server.address))
             plan_once(ws)
             cache = ws.stats.cache
             assert cache.l3.hits == 0 and cache.l3.writes == 0
@@ -371,15 +387,15 @@ class TestRemoteTierRouting:
             server.close()
 
     def test_corrupt_disk_quarantined_then_served_from_l3(
-        self, tmp_path, server
+        self, tmp_path, closing, server
     ):
         root = tmp_path / "ws"
-        ws1 = Workspace(root, remote=server.address)
+        ws1 = closing(Workspace(root, remote=server.address))
         plan_once(ws1)
         dig = plan_digest_of()
         plan_file = root / "plans" / f"{dig}.json"
         plan_file.write_text("truncated {")
-        ws2 = Workspace(root, remote=server.address)
+        ws2 = closing(Workspace(root, remote=server.address))
         with pytest.warns(UserWarning, match="unreadable"):
             plan_once(ws2)
         cache = ws2.stats.cache
@@ -388,9 +404,11 @@ class TestRemoteTierRouting:
         assert plan_file.exists()  # refilled from the shared tier
         assert (root / "plans" / f"{dig}.json.corrupt").exists()
 
-    def test_env_var_configures_remote(self, tmp_path, server, monkeypatch):
+    def test_env_var_configures_remote(
+        self, tmp_path, closing, server, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_CACHE_REMOTE", server.address)
-        ws = Workspace(tmp_path / "ws")
+        ws = closing(Workspace(tmp_path / "ws"))
         plan_once(ws)
         assert ws.stats.cache.l3.writes == 1
         monkeypatch.setenv("REPRO_CACHE_REMOTE", "")
@@ -426,6 +444,23 @@ class TestRemoteTierRouting:
 
         assert "misses 1 " in run("cold")
         assert "misses 0 0 l3 1 warm True" in run("warm")
+
+
+def test_remote_routing_leaks_no_connection():
+    """Every workspace TestRemoteTierRouting opens closes its L3
+    connection: the class passes with an unclosed socket as an error."""
+    result = subprocess.run(
+        [
+            sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+            "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-W", "error::pytest.PytestUnraisableExceptionWarning",
+            f"{Path(__file__).resolve()}::TestRemoteTierRouting",
+            # the cross-process test's child is not a workspace here
+            "-k", "not cross_process",
+        ],
+        capture_output=True, text=True, timeout=300, cwd=SRC.parent,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
 
 
 def _bogus_body(text: str) -> str:
@@ -628,6 +663,21 @@ class TestGCBounds:
         swept = Workspace.gc_plans(root, max_age_days=7, max_entries=1)
         assert swept["removed"] == 1 and swept["kept"] == 1
 
+    def test_in_flight_temp_files_survive(self, tmp_path):
+        root = tmp_path / "ws"
+        plans = self._two_plans(root)
+        # the name another process's _atomic_write gives its temp file
+        temp = root / "plans" / f".{plans[0].name}.123.456.tmp"
+        temp.write_text("half-written")
+        swept = Workspace.gc_plans(root, max_entries=0)
+        assert swept["removed"] == 2 and swept["kept"] == 0
+        assert temp.exists()
+        profiles = len(list((root / "profiles").glob("*.json")))
+        profile_temp = root / "profiles" / ".abc.json.123.456.tmp"
+        profile_temp.write_text("half-written")
+        assert Workspace.discard(root) == {"profiles": profiles, "plans": 0}
+        assert temp.exists() and profile_temp.exists()
+
     def test_bounds_validated(self, tmp_path):
         with pytest.raises(ConfigError):
             Workspace.gc_plans(tmp_path)  # no bound at all
@@ -711,6 +761,31 @@ class TestCacheCLI:
             assert code == 0 and "remote_tier: 0 entries" in out
         finally:
             server.close()
+
+    def test_commands_close_their_l3_connections(self, tmp_path, capsys):
+        spec_path = tmp_path / "exp.json"
+        spec_path.write_text(json.dumps(tiny_spec().to_dict()))
+        server = CacheServer()
+        try:
+            address = server.start()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                for argv in (
+                    ["sweep", str(spec_path), "-w", str(tmp_path / "ws"),
+                     "--remote", address],
+                    ["plan", "--cluster", "B", "--system", "tutel",
+                     "--model", "GPT2-XL", "--layers", "1",
+                     "--remote", address],
+                    ["cache", "-w", str(tmp_path / "ws"),
+                     "--remote", address],
+                ):
+                    assert main(argv) == 0, argv
+                    gc.collect()
+        finally:
+            server.close()
+        assert len(server.store) > 0  # the commands used the L3
+        leaks = [w for w in caught if w.category is ResourceWarning]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_sweep_prints_tier_counters(self, tmp_path, capsys):
         spec_path = tmp_path / "exp.json"

@@ -13,8 +13,9 @@ import pytest
 
 from repro import FSMoE, IterationPlan, PlanCompiler
 from repro import testbed_b as make_testbed_b
-from repro.api.cli import main
+from repro.api.cli import build_parser, main
 from repro.models import get_model_preset, layer_spec_for
+from repro.serve import DEFAULT_CAPACITY, DEFAULT_FLUSH_MS
 
 TINY_SPEC = {
     "name": "cli-test",
@@ -276,6 +277,11 @@ class TestServe:
             "num_layers": 2,
         },
     }
+
+    def test_service_defaults_come_from_the_service(self):
+        args = build_parser().parse_args(["serve", "--demo", "1"])
+        assert args.flush_ms == DEFAULT_FLUSH_MS
+        assert args.capacity == DEFAULT_CAPACITY
 
     @pytest.fixture()
     def requests_file(self, tmp_path):

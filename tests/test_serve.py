@@ -18,7 +18,7 @@ from repro import (
     ServiceClosedError,
     Workspace,
 )
-from repro.serve import duplicate_heavy_requests
+from repro.serve import DEFAULT_FLUSH_MS, duplicate_heavy_requests
 from repro.serve.stats import percentile
 from repro.systems.registry import get_system
 from tests.helpers import count_identity_calls
@@ -173,6 +173,43 @@ class TestCoalescingAndDedup:
         assert got == expected
 
 
+class TestDrainOnArrival:
+    """The default service holds no window: a batch is the backlog
+    that queued while the previous batch resolved."""
+
+    def test_default_window_is_zero(self):
+        assert DEFAULT_FLUSH_MS == 0.0
+
+    def test_backlog_queued_during_a_resolve_is_one_batch(
+        self, workspace, cluster_b, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        plan = workspace.plan
+
+        def gated(*args, **kwargs):
+            if not release.is_set():
+                entered.set()
+                assert release.wait(timeout=60)
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(workspace, "plan", gated)
+        copies = 12
+        with PlanService(workspace) as service:
+            first = service.submit(tiny_request(cluster_b))
+            assert entered.wait(timeout=60)  # the first batch is resolving
+            second = tiny_request(cluster_b, seq_len=512)
+            futures = [service.submit(second) for _ in range(copies)]
+            release.set()
+            first.result(timeout=60)
+            plans = [future.result(timeout=60) for future in futures]
+            stats = service.stats_snapshot()
+        assert stats.batches == 2 and stats.max_batch == copies
+        assert stats.resolved == 2
+        assert stats.dedup_hits == copies - 1  # one group, one resolution
+        assert workspace.stats.plan_misses == 2
+        assert len({plan.to_json() for plan in plans}) == 1
+
+
 class TestQueueAndShutdown:
     def test_queue_full_raises(self, workspace, cluster_b):
         request = tiny_request(cluster_b)
@@ -316,9 +353,14 @@ class TestStatsSurface:
 
     def test_latency_percentiles_ordered(self, workspace, cluster_b):
         with PlanService(workspace, flush_ms=10.0) as service:
-            futures = [
-                service.submit(tiny_request(cluster_b)) for _ in range(10)
-            ]
+            # Holding the service's (reentrant) condition lock keeps the
+            # coalescer off the backlog until all ten have queued, so
+            # they drain as one batch however slowly they are submitted.
+            with service._cv:
+                futures = [
+                    service.submit(tiny_request(cluster_b))
+                    for _ in range(10)
+                ]
             [future.result() for future in futures]
             stats = service.stats_snapshot()
         assert 0.0 < stats.p50_latency_ms <= stats.p95_latency_ms
