@@ -15,10 +15,11 @@ run concurrently with the MoE layer; FSMoE instead:
   layers' ``t_gar`` slots, where they stretch the pipeline according to
   Algorithm 1's ``f_moe(t_gar)``, minimizing total stretched time plus the
   exposed tail AllReduce.  Solved with differential evolution, as in the
-  paper.
+  paper (:mod:`repro.core.de`, the in-tree DE pinned to SciPy's in the
+  tests).
 
 The Step-2 objective is evaluated for a **whole DE population in one
-NumPy pass** (``vectorized=True``): the availability repair runs as a
+NumPy pass**: the availability repair runs as a
 per-layer recurrence over ``(candidates,)`` columns, every layer's
 ``f_moe`` curve is interpolated for all candidates at once, and the
 AllReduce model is applied array-wise.  A scalar per-candidate path is
@@ -40,12 +41,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import differential_evolution, minimize
 
 from ..errors import SolverError
 from .cases import overlappable_time, overlappable_time_merged_comm
 from .constraints import PipelineContext
 from .context import SolverContext
+from .de import differential_evolution
 from .perf_model import LinearPerfModel
 from .pipeline_degree import (
     DEFAULT_MAX_DEGREE,
@@ -500,39 +501,36 @@ def plan_gradient_partition(
                 return total + ar_model.time_ms_array(tail)
 
             if solver == "de":
+                # The DE hands over a (candidates, n_layers) population
+                # of unit-box proposals.
                 if step2_impl == "batch":
 
                     def objective(u: np.ndarray) -> np.ndarray:
-                        # scipy sends (n_params, candidates); a lone
-                        # candidate may arrive 1-D.
-                        arr = np.asarray(u, dtype=float)
-                        if arr.ndim == 1:
-                            arr = arr[:, None]
-                        proposals = _repair_matrix(
-                            arr.T * residual_cap, residual_before
+                        return objective_bytes_batch(
+                            _repair_matrix(u * residual_cap, residual_before)
                         )
-                        return objective_bytes_batch(proposals)
 
                 else:
 
-                    def objective(u: np.ndarray) -> float:
-                        return objective_bytes(
-                            _repair(u * residual_cap, residual_before)
-                        )
+                    def objective(u: np.ndarray) -> np.ndarray:
+                        return np.array([
+                            objective_bytes(
+                                _repair(row * residual_cap, residual_before)
+                            )
+                            for row in u
+                        ])
 
-                result = differential_evolution(
+                best = differential_evolution(
                     objective,
-                    bounds=[(0.0, 1.0)] * n,
+                    n,
                     maxiter=de_maxiter,
                     popsize=de_popsize,
                     seed=seed,
-                    tol=1e-6,
-                    polish=False,
-                    updating="deferred",
-                    vectorized=(step2_impl == "batch"),
                 )
-                extra = _repair(result.x * residual_cap, residual_before)
+                extra = _repair(best * residual_cap, residual_before)
             else:  # slsqp
+                from scipy.optimize import minimize
+
                 # Local solve over raw byte assignments.  Feasibility (the
                 # availability prefix constraints _repair enforces) maps to
                 # linear inequalities: gradients assigned to layers i..n-1

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..errors import SolverError
 from ..obs.trace import maybe_span
@@ -85,6 +84,9 @@ def _solve_branch(
         ``(r, t)`` for the best feasible point found, or None if every
         start fails or lands infeasible.
     """
+    # Imported here: SciPy loads only for sessions that ask for SLSQP.
+    from scipy.optimize import minimize
+
     constraints = [
         {"type": "ineq", "fun": _margin_fn(ctx, name, wanted)}
         for name, wanted in branch

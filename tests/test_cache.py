@@ -28,6 +28,7 @@ from repro.cache import (
     TierStats,
     parse_address,
 )
+from repro.rpc import READ_BUFFER_BYTES
 from repro.serve import PlanRequest, PlanService
 from tests.test_workspace import SRC, tiny_spec
 
@@ -169,6 +170,9 @@ class TestRemoteProtocol:
             stat = tier.stat()
             assert stat["entries"] == 1 and stat["hits"] == 1
             assert stat["bytes"] == len("payload")
+            # a frame longer than the server's read buffer spans reads
+            big = "x" * (3 * READ_BUFFER_BYTES + 17)
+            assert tier.put("big", big) and tier.get("big") == big
         finally:
             tier.close()
             server.close()
@@ -282,6 +286,13 @@ class TestTierRouting:
         assert ws.stats.plan_misses == 1  # genuinely cold again
 
 
+@pytest.fixture()
+def closing():
+    """Close what it wraps at teardown (returns it unchanged)."""
+    with contextlib.ExitStack() as stack:
+        yield stack.enter_context
+
+
 class TestRemoteTierRouting:
     @pytest.fixture()
     def server(self):
@@ -289,12 +300,6 @@ class TestRemoteTierRouting:
         server.start()
         yield server
         server.close()
-
-    @pytest.fixture()
-    def closing(self):
-        """Close what it wraps at teardown (returns it unchanged)."""
-        with contextlib.ExitStack() as stack:
-            yield stack.enter_context
 
     def test_l3_round_trip_fills_lower_tiers(
         self, tmp_path, closing, server
@@ -484,10 +489,10 @@ class TestDocuments:
     @pytest.mark.parametrize("kind", ["plan", "profile"])
     @pytest.mark.parametrize("tier", ["l2", "l3"])
     def test_malformed_body_is_refused_once_and_recompiled(
-        self, tmp_path, server, tier, kind
+        self, tmp_path, closing, server, tier, kind
     ):
         seed = tmp_path / "seed"
-        reference = plan_once(Workspace(seed, remote=server.address))
+        reference = plan_once(closing(Workspace(seed, remote=server.address)))
         plan_dig = plan_digest_of()
         profile_dig = sorted((seed / "profiles").glob("*.json"))[0].stem
         dig = plan_dig if kind == "plan" else profile_dig
@@ -508,7 +513,7 @@ class TestDocuments:
             else contextlib.nullcontext()
         )
         with quarantines:
-            ws = Workspace(root, remote=remote)
+            ws = closing(Workspace(root, remote=remote))
             plan = plan_once(ws)
         assert plan.to_json() == reference.to_json()
         stats = ws.stats
@@ -525,7 +530,7 @@ class TestDocuments:
             assert path.with_name(path.name + ".corrupt").exists()
 
     def test_each_document_is_built_once(
-        self, tmp_path, server, monkeypatch
+        self, tmp_path, closing, server, monkeypatch
     ):
         from repro.api import workspace as workspace_module
 
@@ -537,7 +542,7 @@ class TestDocuments:
             return real(key, field, body)
 
         monkeypatch.setattr(workspace_module, "_document", counting)
-        cold = Workspace(tmp_path / "a", remote=server.address)
+        cold = closing(Workspace(tmp_path / "a", remote=server.address))
         plan_once(cold)
         cold.save()
         fitted = cold.stats.profiles.misses
@@ -546,14 +551,14 @@ class TestDocuments:
         assert cold.stats.cache.profiles_remote.writes == fitted
 
         built.clear()
-        warm = Workspace(tmp_path / "a", remote=server.address)
+        warm = closing(Workspace(tmp_path / "a", remote=server.address))
         plan_once(warm)
         warm.save()
         assert built == [] and warm.stats.warm
 
         built.clear()
         server.store.delete(plan_digest_of())  # force a recompile
-        fetched = Workspace(tmp_path / "b", remote=server.address)
+        fetched = closing(Workspace(tmp_path / "b", remote=server.address))
         plan_once(fetched)
         fetched.save()
         assert built == ["plan"]  # the profiles came from L3 as bytes
@@ -802,17 +807,17 @@ class TestCacheCLI:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC), env.get("PYTHONPATH", "")]
         )
-        proc = subprocess.Popen(
+        # Leaving the with block closes both pipes and reaps the child.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "cache", "serve"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env,
-        )
-        try:
-            line = proc.stdout.readline()
-            assert "cache server listening on" in line
-            tier = RemoteTier(line.strip().rsplit(" ", 1)[-1])
-            assert tier.put("k", "v") and tier.get("k") == "v"
-            tier.close()
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
+        ) as proc:
+            try:
+                line = proc.stdout.readline()
+                assert "cache server listening on" in line
+                address = line.strip().rsplit(" ", 1)[-1]
+                with contextlib.closing(RemoteTier(address)) as tier:
+                    assert tier.put("k", "v") and tier.get("k") == "v"
+            finally:
+                proc.terminate()
