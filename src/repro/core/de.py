@@ -7,11 +7,11 @@ one configuration the partitioner uses: parameters in ``[0, 1]``,
 per generation, binomial crossover with probability 0.7, a
 Latin-hypercube initial population of ``max(5, popsize * n)`` members,
 one deferred (whole-generation) update per iteration, no polishing, and
-a stop once the population's energies agree (``std(E) <= tol *
+a stop once the population's energies agree (``std(E) <= TOL *
 |mean(E)|``).
 
 It draws the same random numbers in the same order as SciPy's
-``differential_evolution(..., seed=seed, tol=tol, polish=False,
+``differential_evolution(..., seed=seed, tol=1e-6, polish=False,
 updating="deferred")`` on that box, from a legacy
 ``np.random.RandomState(seed)``, and applies the same floating-point
 operations, so its answer is byte-identical to SciPy's.  The tests pin
@@ -34,6 +34,9 @@ RECOMBINATION = 0.7
 #: Smallest population, whatever ``popsize * n`` is.
 MIN_POPULATION = 5
 
+#: Relative convergence tolerance on the population energies.
+TOL = 1e-6
+
 
 def _scaled(population: np.ndarray) -> np.ndarray:
     # SciPy's unit-box parameter scaling, ``0.5 + (p - 0.5) * |1 - 0|``:
@@ -55,7 +58,6 @@ def differential_evolution(
     maxiter: int,
     popsize: int,
     seed: int,
-    tol: float = 1e-6,
 ) -> np.ndarray:
     """Minimize ``objective`` over the unit box ``[0, 1] ** n_params``.
 
@@ -67,7 +69,6 @@ def differential_evolution(
         maxiter: maximum number of generations.
         popsize: population size per parameter.
         seed: seed of the legacy ``RandomState`` every draw comes from.
-        tol: relative convergence tolerance on the population energies.
 
     Returns:
         The best member found, shape ``(n_params,)``.
@@ -113,6 +114,6 @@ def differential_evolution(
         population = np.where(accept[:, np.newaxis], trial, population)
         energies = np.where(accept, trial_energies, energies)
         _promote_best(population, energies)
-        if np.std(energies) <= tol * np.abs(np.mean(energies)):
+        if np.std(energies) <= TOL * np.abs(np.mean(energies)):
             break
     return _scaled(population[0])

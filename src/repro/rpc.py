@@ -39,8 +39,8 @@ from .obs.metrics import CounterCell, Stats, gauge
 #: broken peer, and the connection is dropped instead of buffering it.
 MAX_RESPONSE_BYTES = 64 * 1024 * 1024
 
-#: the size of a connection's read buffer, which every socket read
-#: fills in place.
+#: the size of a server's read buffer, which every socket read on any
+#: of its connections fills in place.
 READ_BUFFER_BYTES = 64 * 1024
 
 # -- stable transport error codes (see docs/SERVING.md) ---------------------
@@ -211,11 +211,14 @@ class TransportStats(Stats):
 class Peer(asyncio.BufferedProtocol):
     """One client connection: hand-buffered framing, in-order answers.
 
-    The transport reads into one buffer the connection keeps (see
+    The transport reads into the server's one read buffer (see
     :meth:`get_buffer`): a plain protocol's transport would allocate a
     fresh 256 KiB ``bytes`` per read, which glibc serves with an
     ``mmap``/``munmap`` pair and page faults while its mmap threshold
-    sits at the default 128 KiB.
+    sits at the default 128 KiB.  :meth:`buffer_updated` copies what was
+    read out before the loop services another socket, so the server's
+    connections can share that buffer and an open connection holds no
+    read buffer of its own.
 
     Each complete line is answered as soon as it is read, on the loop,
     with no task or future in between.  A line over the server's bound
@@ -233,7 +236,6 @@ class Peer(asyncio.BufferedProtocol):
         self._server = server
         self._transport: asyncio.Transport | None = None
         self._buf = bytearray()
-        self._read_buffer = memoryview(bytearray(READ_BUFFER_BYTES))
         self._discarding = False  # inside the tail of an oversized line
 
     def connection_made(self, transport) -> None:
@@ -255,8 +257,8 @@ class Peer(asyncio.BufferedProtocol):
         self._transport.resume_reading()
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        """The connection's read buffer, for the transport to fill."""
-        return self._read_buffer
+        """The server's read buffer, for the transport to fill."""
+        return self._server._read_buffer
 
     def buffer_updated(self, nbytes: int) -> None:
         """Frame the ``nbytes`` just read into lines; answer each
@@ -264,7 +266,7 @@ class Peer(asyncio.BufferedProtocol):
         server = self._server
         bound = server._max_line_bytes
         buf = self._buf
-        buf += self._read_buffer[:nbytes]
+        buf += server._read_buffer[:nbytes]
         start = 0
         while (newline := buf.find(b"\n", start)) >= 0:
             line = bytes(buf[start:newline])
@@ -360,6 +362,8 @@ class LineServer:
         self._thread: threading.Thread | None = None
         self._aserver: asyncio.AbstractServer | None = None
         self._peers: set[Peer] = set()
+        # shared by every connection (see :class:`Peer`)
+        self._read_buffer = memoryview(bytearray(READ_BUFFER_BYTES))
         self._started = threading.Event()
         self._stopped = threading.Event()
         self._startup_error: BaseException | None = None

@@ -807,7 +807,8 @@ class TestCacheCLI:
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC), env.get("PYTHONPATH", "")]
         )
-        # Leaving the with block closes both pipes and reaps the child.
+        # Leaving the with block closes both pipes; the bounded wait
+        # reaps the child or fails the test instead of hanging it.
         with subprocess.Popen(
             [sys.executable, "-m", "repro", "cache", "serve"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -821,3 +822,4 @@ class TestCacheCLI:
                     assert tier.put("k", "v") and tier.get("k") == "v"
             finally:
                 proc.terminate()
+                proc.wait(timeout=30)

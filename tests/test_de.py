@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.optimize import differential_evolution as scipy_de
 
 from repro.core import gradient_partition
-from repro.core.de import differential_evolution
+from repro.core.de import TOL, differential_evolution
 from repro.core.gradient_partition import plan_gradient_partition
 
 from .test_gradient_partition import AR, _plans_identical, _stacks
@@ -52,7 +52,7 @@ def _scipy_run(objective, n, *, vectorized, maxiter, popsize, seed):
         maxiter=maxiter,
         popsize=popsize,
         seed=seed,
-        tol=1e-6,
+        tol=TOL,
         polish=False,
         updating="deferred",
         vectorized=vectorized,

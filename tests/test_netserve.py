@@ -351,6 +351,34 @@ class TestTransportConformance:
             reader.close()
             sock.close()
 
+    def test_connections_share_the_servers_one_read_buffer(self):
+        """Interleaved partial frames on many connections all frame
+        correctly, and every connection reads into one buffer."""
+        server = CacheServer()
+        clients = [connect(server.start()) for _ in range(64)]
+        try:
+            frame = json.dumps(
+                {"op": "stat", "schema": CACHE_SCHEMA_VERSION}
+            ).encode() + b"\n"
+            half = len(frame) // 2
+            for sock, _ in clients:
+                sock.sendall(frame[:half])
+            for sock, _ in reversed(clients):
+                sock.sendall(frame[half:])
+            for _, reader in clients:
+                assert read_response(reader)["ok"] is True
+            peers = list(server._peers)
+            assert len(peers) == len(clients)
+            shared = peers[0].get_buffer(-1)
+            assert len(shared) == rpc.READ_BUFFER_BYTES
+            assert all(peer.get_buffer(-1) is shared for peer in peers)
+        finally:
+            for sock, reader in clients:
+                reader.close()
+                sock.close()
+            server.close()
+
+
 
 def fuzz_roundtrip(address: str, frames: list[bytes]) -> None:
     """Send frames, then prove the server still answers a ping."""
