@@ -112,7 +112,7 @@ def _timed_sweeps(
     for _ in range(repeats):
         for workspace, series in zip(workspaces, times):
             start = time.perf_counter()
-            workspace.sweep(spec, max_workers=1)
+            workspace.sweep(spec)
             series.append(time.perf_counter() - start)
     return times
 
@@ -128,7 +128,7 @@ def _measure(scratch: Path, config: ReportConfig) -> dict:
         scratch / "file-traced", trace=scratch / "trace.jsonl"
     )
     for workspace in (untraced, traced, file_traced):
-        workspace.sweep(spec, max_workers=1)  # cold pass: L1 fills
+        workspace.sweep(spec)  # cold pass: L1 fills
 
     # Only the timed (fully warm) repetitions should be judged against
     # the span contract, so drop the cold pass's spans first.

@@ -260,7 +260,7 @@ def _cmd_plan(args) -> int:
     with contextlib.ExitStack() as resources:
         workspace = _open_workspace(args, resources)
         spec = _spec_from_args(args, [args.system])
-        result = workspace.sweep(spec, max_workers=1)
+        result = workspace.sweep(spec)
         point = result.points[0]
         plan = point.plan
         # The JSON document goes to stdout *alone* so it can be piped
@@ -285,7 +285,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_sweep(args, spec: ExperimentSpec, workspace: Workspace) -> int:
-    result = workspace.sweep(spec, max_workers=args.max_workers)
+    result = workspace.sweep(spec)
     if args.json:
         print(json.dumps(result.rows(), indent=2))
     else:
@@ -326,7 +326,7 @@ def _cmd_bench(args) -> int:
     with contextlib.ExitStack() as resources:
         workspace = _open_workspace(args, resources)
         spec = _spec_from_args(args, systems)
-        result = workspace.sweep(spec, max_workers=args.max_workers)
+        result = workspace.sweep(spec)
         case = result.config_results()[0]
         speedups = speedups_over([case], args.baseline)
         rows = [
@@ -663,7 +663,6 @@ def _cmd_report(args) -> int:
             config,
             only=only,
             progress=lambda line: print(line, file=sys.stderr),
-            jobs=args.jobs,
         )
         _flush_trace(workspace, sys.stderr)
 
@@ -786,7 +785,7 @@ def _cmd_metrics(args) -> int:
             # Exercise the workspace first so the session counters are
             # live numbers, not the zeros of a fresh open.
             spec = ExperimentSpec.from_file(args.spec)
-            workspace.sweep(spec, max_workers=1)
+            workspace.sweep(spec)
         samples = stats_samples(workspace.stats, "repro.workspace.")
         if args.json:
             print(render_json(samples))
@@ -949,7 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("spec", help="path to the experiment spec document")
     _add_workspace_arg(sweep)
-    sweep.add_argument("--max-workers", type=int, default=None)
     sweep.add_argument(
         "--json", action="store_true", help="print rows as JSON"
     )
@@ -976,7 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_stack_args(bench)
     _add_knob_args(bench)
     _add_workspace_arg(bench)
-    bench.add_argument("--max-workers", type=int, default=None)
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
@@ -1089,16 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit wall-clock columns from REPORT.md (byte-stable "
              "output: re-runs of an unchanged tree produce no diff)",
-    )
-    report.add_argument(
-        "--jobs",
-        metavar="N",
-        type=int,
-        default=1,
-        help="produce the deterministic artifacts with N concurrent "
-             "threads through the shared workspace, then the measured "
-             "ones serially (outputs and ordering are identical to a "
-             "serial run); default: 1",
     )
     report.add_argument(
         "--trace",

@@ -54,7 +54,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -337,12 +337,14 @@ def _remote_get(
 ) -> tuple[str, object] | None:
     """One L3 get under the L3 policy: ``(text, load(document))`` or None.
 
-    Counts one hit or miss in ``counts``; a failed call or a document
+    Counts one hit or miss in ``counts``; a failed get or a document
     the reader refuses also counts an error -- refused, never misread.
     """
     try:
         text = remote.get(dig)
         if text is None:
+            if remote.last_get_failed():
+                counts.inc("errors")
             counts.inc("misses")
             return None
         body = _read_document(text, load, dig, key_json)
@@ -1111,24 +1113,17 @@ class Workspace:
 
     # -- sweeps --------------------------------------------------------------
 
-    def sweep(
-        self,
-        spec: ExperimentSpec,
-        *,
-        max_workers: int | None = None,
-    ) -> ExperimentResult:
+    def sweep(self, spec: ExperimentSpec) -> ExperimentResult:
         """Plan and simulate a declarative experiment grid.
 
-        The grid fans out over a thread pool; all profiling deduplicates
-        through the persistent store and every plan lands in (or comes
-        from) the plan cache.  Re-running the same spec against the same
-        workspace is fully warm: zero profiles fitted, zero plans
-        compiled (assert via :attr:`stats`).
+        The grid's points are planned in order on the calling thread;
+        all profiling deduplicates through the persistent store and
+        every plan lands in (or comes from) the plan cache.  Re-running
+        the same spec against the same workspace is fully warm: zero
+        profiles fitted, zero plans compiled (assert via :attr:`stats`).
 
         Args:
             spec: the experiment description.
-            max_workers: thread-pool width; defaults to the CPU count
-                capped at the number of grid points.
         """
         deployments, systems = spec.resolve()
         default_gate = spec.gate_kind
@@ -1140,31 +1135,7 @@ class Workspace:
                 for system in systems:
                     grid.append((cluster, parallel, stack, gates, system))
 
-        tracer = self._tracer
-        sweep_span = (
-            tracer.start("sweep", {"name": spec.name, "points": len(grid)})
-            if tracer is not None
-            else None
-        )
-
-        def run_point(point: tuple) -> PlanPoint:
-            cluster, parallel, stack, gates, system = point
-            # Pool threads don't inherit the submitting context's
-            # current span, so the per-point span parents explicitly
-            # onto the sweep span (serial and pooled sweeps then trace
-            # identically).
-            if sweep_span is not None:
-                with tracer.start(
-                    "point", {"system": system.name}, parent=sweep_span
-                ):
-                    return plan_point(
-                        cluster, parallel, stack, gates, system
-                    )
-            return plan_point(cluster, parallel, stack, gates, system)
-
-        def plan_point(
-            cluster, parallel, stack, gates, system
-        ) -> PlanPoint:
+        def plan_point(cluster, parallel, stack, gates, system) -> PlanPoint:
             plan = self.plan(
                 stack,
                 system,
@@ -1186,16 +1157,14 @@ class Workspace:
                 gate_kinds=gates if len(set(gates)) > 1 else None,
             )
 
-        if max_workers is None:
-            max_workers = min(len(grid), os.cpu_count() or 1)
-        max_workers = max(1, max_workers)
-        try:
-            if max_workers == 1:
-                points = tuple(run_point(point) for point in grid)
-            else:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    points = tuple(pool.map(run_point, grid))
-        finally:
-            if sweep_span is not None:
-                sweep_span.end()
-        return ExperimentResult(spec=spec, points=points)
+        tracer = self._tracer
+        if tracer is None:
+            points = [plan_point(*point) for point in grid]
+        else:
+            points = []
+            attrs = {"name": spec.name, "points": len(grid)}
+            with tracer.start("sweep", attrs):
+                for point in grid:
+                    with tracer.start("point", {"system": point[-1].name}):
+                        points.append(plan_point(*point))
+        return ExperimentResult(spec=spec, points=tuple(points))

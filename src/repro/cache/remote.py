@@ -1,6 +1,6 @@
 """The optional L3 tier: a tiny shared content-addressed cache server.
 
-A fleet of planner/server processes (``repro report --jobs N`` on many
+A fleet of planner/server processes (``repro report`` runs on many
 machines, several ``repro serve`` workers) warms each other through one
 :class:`CacheServer`: the first process to compile a plan publishes its
 content-addressed document, every later process fetches it instead of
@@ -42,6 +42,8 @@ the cache fleet did.
 """
 
 from __future__ import annotations
+
+import threading
 
 from ..errors import ServiceError
 from ..obs.export import render_prometheus
@@ -166,7 +168,8 @@ class RemoteTier(LineClient):
     Every operational failure degrades to a miss (get), a no-op (put) or
     None (stat) -- the planning path must never fail because the shared
     tier did.  The caller counts those degradations through the returned
-    outcomes (None/False), keeping tier counters exact.
+    outcomes (None/False, and :meth:`last_get_failed` after a get),
+    keeping tier counters exact.
 
     Args:
         address: the server's ``host:port``.
@@ -204,6 +207,7 @@ class RemoteTier(LineClient):
                 else Backoff(base_ms=10.0, max_ms=200.0)
             ),
         )
+        self._last_get = threading.local()
 
     def _call(self, op: str, **fields: str) -> dict | None:
         """The success response to ``op``; None when refused or unreachable."""
@@ -216,12 +220,25 @@ class RemoteTier(LineClient):
         return response if response.get("ok") else None
 
     def get(self, key: str) -> str | None:
-        """The cached text for ``key``; None on miss *or* any failure."""
+        """The cached text for ``key``; None on miss *or* any failure.
+
+        :meth:`last_get_failed` then tells the two apart.
+        """
         response = self._call("get", key=key)
-        if response is None or not response.get("hit"):
-            return None
-        value = response.get("value")
-        return value if isinstance(value, str) else None
+        hit = response is not None and bool(response.get("hit"))
+        value = response.get("value") if hit else None
+        text = value if isinstance(value, str) else None
+        self._last_get.failed = response is None or (hit and text is None)
+        return text
+
+    def last_get_failed(self) -> bool:
+        """Whether the calling thread's last :meth:`get` failed.
+
+        A get refused by the server, unanswered, or answered with a hit
+        that carries no text failed; a plain miss did not.  Per thread,
+        so concurrent callers each read their own outcome.
+        """
+        return getattr(self._last_get, "failed", False)
 
     def put(self, key: str, value: str) -> bool:
         """Publish ``key``; False when refused or unreachable."""

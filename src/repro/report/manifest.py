@@ -110,9 +110,6 @@ class Artifact:
         deterministic: True when the output bytes are a pure function
             of the configuration (checked by ``repro report --check``);
             False for artifacts that embed wall-clock measurements.
-            ``repro report --jobs N`` runs every deterministic artifact
-            in its thread pool and the measured ones serially after the
-            pool drains, where contention cannot skew their timings.
     """
 
     name: str

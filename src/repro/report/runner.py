@@ -12,7 +12,6 @@ files under a results directory.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -105,23 +104,20 @@ def _run_one(
     producer: Callable,
     workspace: Workspace,
     config: ReportConfig,
-    parent=None,
 ) -> ArtifactRun:
     """Execute one producer and window the workspace counters around it.
 
-    Counter windows are snapshot deltas: under ``jobs > 1`` a window may
-    also include work concurrent artifacts did inside it (a superset,
-    never a torn read -- every snapshot is taken under the stores'
-    locks).  The whole-run window is exact either way.
+    Artifacts run one at a time, so each counter window is exactly the
+    work this producer did.
 
     When the workspace traces, the producer runs inside an ``artifact``
-    span (parented onto the run's ``report`` span) and the recorded
-    wall time *is* that span's duration -- the timing lines in
-    ``REPORT.md`` then come from the tracer.
+    span (a child of the run's ``report`` span) and the recorded wall
+    time *is* that span's duration -- the timing lines in ``REPORT.md``
+    then come from the tracer.
     """
     tracer = workspace.tracer
     span = (
-        tracer.start("artifact", {"name": artifact.name}, parent=parent)
+        tracer.start("artifact", {"name": artifact.name})
         if tracer is not None
         else None
     )
@@ -156,9 +152,10 @@ def run_report(
     *,
     only: str | Iterable[str] | None = None,
     progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
 ) -> ReportRun:
     """Produce the selected artifacts through one workspace session.
+
+    Producers run in selection order on the calling thread.
 
     Args:
         workspace: the shared session; all profiling and planning runs
@@ -168,92 +165,39 @@ def run_report(
         only: optional manifest subset (``"fig7,table5"`` or a list of
             names); None runs everything.
         progress: optional callback receiving one line per artifact as
-            it completes (the CLI prints these).  Always invoked from
-            the calling thread, in selection order.
-        jobs: producer thread count.  With ``jobs > 1`` the
-            deterministic artifacts run concurrently through the shared
-            workspace (its caches, solver context and plan single-flight
-            are thread-safe); the measured (``deterministic=False``)
-            artifacts run serially after the pool drains, so contention
-            cannot skew their timings.  The returned ``runs`` are
-            always in selection order, so rendering and
-            :func:`write_outputs` are order-identical to a serial run.
+            it completes (the CLI prints these).
 
     Raises:
         RegistryError: for an unknown ``--only`` name.
-        ConfigError: for an unresolvable producer, an output-manifest
-            mismatch, or ``jobs < 1``.
+        ConfigError: for an unresolvable producer or an output-manifest
+            mismatch.
     """
     if config is None:
         config = ReportConfig.from_env()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     artifacts = select_artifacts(only)
-    # Resolve every producer up front, on this thread: import errors
-    # surface deterministically and no import machinery runs inside the
-    # pool.
+    # Resolve every producer up front: import errors surface before any
+    # artifact runs.
     producers = [artifact.resolve_producer() for artifact in artifacts]
     run_before = workspace.stats
     run_start = time.perf_counter()
     tracer = workspace.tracer
-    # Artifact spans parent explicitly onto the report span: producers
-    # may run on pool threads, which don't inherit this context.
     report_span = (
         tracer.start("report", {"artifacts": len(artifacts)})
         if tracer is not None
         else None
     )
-
-    records: dict[str, ArtifactRun] = {}
+    runs: list[ArtifactRun] = []
     try:
-        if jobs == 1:
-            for artifact, producer in zip(artifacts, producers):
-                records[artifact.name] = _run_one(
-                    artifact, producer, workspace, config, report_span
-                )
-                _emit_progress(progress, records[artifact.name])
-        else:
-            pooled = [
-                (a, p)
-                for a, p in zip(artifacts, producers)
-                if a.deterministic
-            ]
-            serial = [
-                (a, p)
-                for a, p in zip(artifacts, producers)
-                if not a.deterministic
-            ]
-            with ThreadPoolExecutor(
-                max_workers=jobs, thread_name_prefix="repro-report"
-            ) as pool:
-                futures = [
-                    (
-                        a,
-                        pool.submit(
-                            _run_one, a, p, workspace, config, report_span
-                        ),
-                    )
-                    for a, p in pooled
-                ]
-                # Collect in submission order: exceptions propagate
-                # deterministically and progress lines stay ordered.
-                for artifact, future in futures:
-                    records[artifact.name] = future.result()
-                    _emit_progress(progress, records[artifact.name])
-            for artifact, producer in serial:
-                records[artifact.name] = _run_one(
-                    artifact, producer, workspace, config, report_span
-                )
-                _emit_progress(progress, records[artifact.name])
+        for artifact, producer in zip(artifacts, producers):
+            runs.append(_run_one(artifact, producer, workspace, config))
+            _emit_progress(progress, runs[-1])
     finally:
         if report_span is not None:
             report_span.end()
 
-    # Assemble in selection order regardless of execution order, then
-    # refuse filename collisions: two artifacts producing one file would
+    # Refuse filename collisions: two artifacts producing one file would
     # silently last-write-win in write_outputs and make --check compare
     # two producers against one committed file.
-    runs = tuple(records[artifact.name] for artifact in artifacts)
     owner: dict[str, str] = {}
     for record in runs:
         for filename in record.result.outputs:
@@ -265,7 +209,7 @@ def run_report(
             owner[filename] = record.artifact.name
     return ReportRun(
         config=config,
-        runs=runs,
+        runs=tuple(runs),
         wall_s=time.perf_counter() - run_start,
         stats=workspace.stats.since(run_before),
     )

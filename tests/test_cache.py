@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import warnings
 from collections import OrderedDict
 from pathlib import Path
@@ -196,6 +197,26 @@ class TestRemoteProtocol:
         assert tier.get("k") is None
         assert not tier.put("k", "v")
         assert tier.stat() is None
+
+    def test_last_get_failed_tells_a_failure_from_a_miss(self):
+        server = CacheServer()
+        tier = RemoteTier(server.start())
+        try:
+            assert tier.get("k") is None and not tier.last_get_failed()
+            assert tier.put("k", "v") and tier.get("k") == "v"
+            assert not tier.last_get_failed()
+        finally:
+            tier.close()
+            server.close()
+        dead = RemoteTier(server.address, timeout_s=0.5)
+        assert dead.get("k") is None and dead.last_get_failed()
+        outcomes = []
+        other = threading.Thread(
+            target=lambda: outcomes.append(dead.last_get_failed())
+        )
+        other.start()
+        other.join()
+        assert outcomes == [False]  # each thread reads its own last get
 
     def test_server_store_is_bounded(self):
         server = CacheServer(max_entries=2)
@@ -390,6 +411,20 @@ class TestRemoteTierRouting:
             assert ws.stats.plan_misses == 1
         finally:
             server.close()
+
+    def test_dead_peer_counts_every_failed_call(self, tmp_path, closing):
+        server = CacheServer()
+        address = server.start()
+        server.close()  # the port is now dead
+        ws = closing(Workspace(tmp_path / "ws", remote=address))
+        ws.sweep(tiny_spec(systems=("tutel",)))
+        cache = ws.stats.cache
+        # one plan get and put; a get and a put for each of two profiles
+        assert (cache.l3.misses, cache.l3.errors) == (1, 2)
+        assert (
+            cache.profiles_remote.misses, cache.profiles_remote.errors
+        ) == (2, 4)
+        assert ws.stats.plan_misses == 1
 
     def test_corrupt_disk_quarantined_then_served_from_l3(
         self, tmp_path, closing, server

@@ -364,8 +364,8 @@ class TestWorkspaceMetrics:
     def test_counters_exactly_equal_legacy_stats(self, tmp_path):
         workspace = Workspace(tmp_path / "ws")
         spec = ExperimentSpec.from_dict(TINY_SPEC)
-        workspace.sweep(spec, max_workers=1)
-        workspace.sweep(spec, max_workers=1)  # warm pass: hits > 0
+        workspace.sweep(spec)
+        workspace.sweep(spec)  # warm pass: hits > 0
         stats = workspace.stats
         exposed = parse_prometheus(
             render_prometheus(stats_samples(stats, "repro.workspace."))
@@ -423,9 +423,9 @@ class TestWorkspaceMetrics:
     def test_windowed_stats_adapt_too(self, tmp_path):
         workspace = Workspace(tmp_path / "ws")
         spec = ExperimentSpec.from_dict(TINY_SPEC)
-        workspace.sweep(spec, max_workers=1)
+        workspace.sweep(spec)
         before = workspace.stats
-        workspace.sweep(spec, max_workers=1)
+        workspace.sweep(spec)
         window = workspace.stats.since(before)
         exposed = parse_prometheus(
             render_prometheus(stats_samples(window, "repro.workspace."))
@@ -1006,7 +1006,7 @@ class TestWorkspaceTracing:
     def test_sweep_spans_parent_onto_sweep(self, tmp_path):
         workspace = Workspace(tmp_path / "ws", trace=True)
         spec = ExperimentSpec.from_dict(TINY_SPEC)
-        workspace.sweep(spec, max_workers=2)
+        workspace.sweep(spec)
         records = workspace.tracer.spans()
         sweep = next(r for r in records if r.name == "sweep")
         points = [r for r in records if r.name == "point"]
@@ -1020,11 +1020,11 @@ class TestWorkspaceTracing:
         # to identical span trees (fresh Workspace per run on one root,
         # so both runs are L2-warm and structurally equal).
         spec = ExperimentSpec.from_dict(TINY_SPEC)
-        Workspace(tmp_path / "ws").sweep(spec, max_workers=1)
+        Workspace(tmp_path / "ws").sweep(spec)
 
         def traced_run():
             workspace = Workspace(tmp_path / "ws", trace=True)
-            workspace.sweep(spec, max_workers=2)
+            workspace.sweep(spec)
             return canonical_tree(workspace.tracer.spans())
 
         first = traced_run()

@@ -72,7 +72,7 @@ def _planning_artifact(
                 {"layers": [layer], "num_layers": num_layers}
             ),),
         )
-        result = workspace.sweep(spec, max_workers=1)
+        result = workspace.sweep(spec)
         text = f"{result.points[0].makespan_ms:.6f}\n"
         return ArtifactResult(
             artifact=name, outputs={f"{name}.txt": text}
@@ -469,90 +469,28 @@ class TestCheck:
 
 
 class TestJobs:
-    def test_parallel_and_serial_runs_byte_identical(
+    """Artifacts run one at a time, in selection order."""
+
+    def test_planning_artifacts_get_exact_windows(
         self, tmp_path, registered
     ):
-        names = [f"test-jobs-{i}" for i in range(4)]
-        for i, name in enumerate(names):
-            registered(_static_artifact(name, f"text {i}\n"))
-        serial = run_report(
-            Workspace(tmp_path / "ws1"), ReportConfig(), only=names
-        )
-        parallel = run_report(
-            Workspace(tmp_path / "ws2"), ReportConfig(), only=names, jobs=3
-        )
-        assert serial.outputs() == parallel.outputs()
-        # runs stay in selection order regardless of execution order,
-        # so files are written identically and the untimed report is
-        # byte-identical to a serial run's
-        assert [r.artifact.name for r in parallel.runs] == names
-        first = write_outputs(serial, tmp_path / "r1")
-        second = write_outputs(parallel, tmp_path / "r2")
-        assert [p.name for p in first] == [p.name for p in second]
-        assert all(
-            a.read_bytes() == b.read_bytes()
-            for a, b in zip(first, second)
-        )
-        assert render_report(
-            serial, include_timings=False
-        ) == render_report(parallel, include_timings=False)
-
-    def test_parallel_unsafe_artifacts_run_on_calling_thread(
-        self, tmp_path, registered
-    ):
-        import threading
-
-        seen: dict[str, threading.Thread] = {}
-
-        def make(name: str, deterministic: bool) -> None:
-            def produce(workspace, config, name=name):
-                seen[name] = threading.current_thread()
-                return ArtifactResult(
-                    artifact=name, outputs={f"{name}.txt": "x\n"}
-                )
-
-            registered(Artifact(
-                name=name, title="", paper_ref="test", producer=produce,
-                outputs=(f"{name}.txt",), deterministic=deterministic,
-            ))
-
-        # measured artifacts run serially on the caller, after the pool
-        make("test-safe-a", True)
-        make("test-unsafe", False)
-        make("test-safe-b", True)
-        caller = threading.current_thread()
+        # Two artifacts plan the identical spec: the first compiles it,
+        # the second is answered from cache, and each window holds only
+        # its own artifact's work.
+        registered(_planning_artifact("test-window-a"))
+        registered(_planning_artifact("test-window-b"))
         run = run_report(
             Workspace(tmp_path / "ws"),
             ReportConfig(),
-            only=["test-safe-a", "test-unsafe", "test-safe-b"],
-            jobs=2,
+            only=["test-window-a", "test-window-b"],
         )
-        assert seen["test-unsafe"] is caller
-        assert seen["test-safe-a"] is not caller
-        assert seen["test-safe-b"] is not caller
-        assert [r.artifact.name for r in run.runs] == [
-            "test-safe-a", "test-unsafe", "test-safe-b",
-        ]
-
-    def test_concurrent_planning_single_flights_through_workspace(
-        self, tmp_path, registered
-    ):
-        # Two artifacts plan the identical spec concurrently; the
-        # workspace's per-digest single-flight must coalesce them into
-        # one compile plus one cache hit.
-        registered(_planning_artifact("test-flight-a"))
-        registered(_planning_artifact("test-flight-b"))
-        run = run_report(
-            Workspace(tmp_path / "ws"),
-            ReportConfig(),
-            only=["test-flight-a", "test-flight-b"],
-            jobs=2,
-        )
-        assert run.stats.plan_misses == 1
-        assert run.stats.plan_hits == 1
+        assert [
+            (record.stats.plan_misses, record.stats.plan_hits)
+            for record in run.runs
+        ] == [(1, 0), (0, 1)]
         outputs = run.outputs()
         assert (
-            outputs["test-flight-a.txt"] == outputs["test-flight-b.txt"]
+            outputs["test-window-a.txt"] == outputs["test-window-b.txt"]
         )
 
     def test_progress_lines_stay_in_selection_order(
@@ -567,17 +505,8 @@ class TestJobs:
             ReportConfig(),
             only=names,
             progress=lines.append,
-            jobs=2,
         )
         assert [line.split(":")[0] for line in lines] == names
-
-    def test_jobs_must_be_positive(self, tmp_path, registered):
-        registered(_static_artifact("test-bad-jobs"))
-        with pytest.raises(ConfigError, match="jobs"):
-            run_report(
-                Workspace(tmp_path / "ws"), ReportConfig(),
-                only=["test-bad-jobs"], jobs=0,
-            )
 
 
 class TestFirstDifference:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -616,6 +617,52 @@ class TestProfileFiles:
         ws = Workspace(root)  # neither refused nor quarantined
         assert len(ws.store) == 0
         assert (root / "profiles.json").exists()
+
+
+def test_concurrent_plans_single_flight(tmp_path, monkeypatch):
+    """Threads planning one request share its single compile.
+
+    The compile waits until every other thread has joined the in-flight
+    entry, so each of them arrives while it is still running.
+    """
+    from repro.planner.compiler import PlanCompiler
+
+    threads_n = 4
+    ws = Workspace(tmp_path / "ws")
+    compile_real = PlanCompiler.compile
+
+    def slow_compile(self, *args, **kwargs):
+        deadline = time.monotonic() + 10.0
+        while ws.stats.plan_hits < threads_n - 1:
+            assert time.monotonic() < deadline, "joiners never arrived"
+            time.sleep(0.001)
+        return compile_real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanCompiler, "compile", slow_compile)
+    stack = [tiny_spec().stacks[0].layers[0]] * 2
+    cluster = make_testbed_b()
+    barrier = threading.Barrier(threads_n)
+    plans: list = []
+    errors: list[BaseException] = []
+
+    def planner() -> None:
+        try:
+            barrier.wait()
+            plans.append(ws.plan(stack, Tutel(), cluster))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=planner) for _ in range(threads_n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    stats = ws.stats
+    assert stats.plan_misses == 1
+    assert stats.plan_hits == threads_n - 1
+    assert len(plans) == threads_n
+    assert all(plan == plans[0] for plan in plans)
 
 
 def test_atomic_write_is_safe_across_threads(tmp_path):
